@@ -27,7 +27,7 @@ from .scenarios import (
     sample_scenarios,
 )
 from .settlement import CashFlowReport, decide_acceptance, realtime_dispatch, settle
-from .solver import SolveRequest, emit_exchange, parse_solution, reference_solve, solve
+from .solver import emit_exchange, parse_solution, reference_solve
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "RunSpec",
     "ScenarioSet",
     "Solution",
-    "SolveRequest",
     "WeekData",
     "build_instance",
     "build_price_scenarios",
@@ -63,6 +62,5 @@ __all__ = [
     "run_week",
     "sample_scenarios",
     "settle",
-    "solve",
     "validate_config",
 ]

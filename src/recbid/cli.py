@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from .core import RecConfig, load_config_json, validate_config
-from .harness import RunSpec, compare_cases, load_week_data, run_day, run_week
+from .harness import RunSpec, compare_cases, day_inputs, load_week_data, run_day, run_week
 from .milp import build_instance
 from .solver import emit_exchange
 
@@ -38,18 +38,21 @@ def _spec(args) -> RunSpec:
     problems = validate_config(config)
     if problems:
         raise SystemExit("invalid config:\n  " + "\n  ".join(problems))
-    return RunSpec(
-        config=config,
-        data_dir=args.data_dir,
-        case=args.case,
-        n_m=args.nm,
-        n_r=args.nr,
-        seed=args.seed,
-        backend=args.backend,
-        out_dir=args.out_dir,
-        time_limit_s=args.time_limit,
-        rel_gap=args.gap,
-    )
+    try:
+        return RunSpec(
+            config=config,
+            data_dir=args.data_dir,
+            case=args.case,
+            n_m=args.nm,
+            n_r=args.nr,
+            seed=args.seed,
+            backend=args.backend,
+            out_dir=args.out_dir,
+            time_limit_s=args.time_limit,
+            rel_gap=args.gap,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"invalid run settings: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -115,20 +118,8 @@ def main(argv=None) -> int:
                 f"{dm if dm is not None else float('nan'):>13.1f}"
             )
     elif args.command == "emit":
-        from .core import DayTrajectory
-        from .harness import build_day_scenarios
-
         data = load_week_data(spec.data_dir, spec.config.horizon_hours)
-        prices, energies = build_day_scenarios(spec, data, args.day)
-        from .harness import apply_case
-
-        config, allow_bids = apply_case(spec.config, spec.case)
-        K = config.horizon_hours
-        sl = slice(args.day * K, (args.day + 1) * K)
-        known = (
-            DayTrajectory(data.known_prices[sl, 0], "price_export"),
-            DayTrajectory(data.known_prices[sl, 1], "price_import"),
-        )
+        config, allow_bids, prices, energies, known = day_inputs(spec, data, args.day)
         inst = build_instance(
             config,
             prices,

@@ -9,7 +9,7 @@ EUR per kWh; nothing in the package converts to kW.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +51,6 @@ class RecConfig:
     epsilon_max: float | None = None
     renewable_only_charging: bool = True
     shared_energy_cap_mode: str = "member_demand"
-
-    def with_soc_initial(self, soc: float) -> "RecConfig":
-        return replace(self, soc_initial=soc)
 
 
 def validate_config(config: RecConfig) -> list[str]:
@@ -186,9 +183,6 @@ class ScenarioSet:
     def channel(self, name: str) -> np.ndarray:
         """All scenarios of one channel, shape (n, horizon)."""
         return self.values[:, self.channels.index(name), :]
-
-    def scenario(self, i: int) -> np.ndarray:
-        return self.values[i]
 
 
 @dataclass(frozen=True)

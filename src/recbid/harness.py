@@ -64,6 +64,10 @@ class RunSpec:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
         if self.backend not in ("external", "reference"):
             raise ValueError(f"unknown backend {self.backend!r}")
+        if self.time_limit_s <= 0:
+            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
+        if self.rel_gap < 0:
+            raise ValueError(f"rel_gap must be >= 0, got {self.rel_gap}")
 
 
 def apply_case(config: RecConfig, case: str) -> tuple[RecConfig, bool]:
@@ -169,6 +173,20 @@ def build_day_scenarios(spec: RunSpec, data: WeekData, day: int):
     return prices, energies
 
 
+def day_inputs(spec: RunSpec, data: WeekData, day: int):
+    """What the day's program is built from: the case's config and bid
+    switch, the day's price and energy scenarios, and its known tariffs."""
+    prices, energies = build_day_scenarios(spec, data, day)
+    config, allow_bids = apply_case(spec.config, spec.case)
+    K = data.horizon
+    sl = slice(day * K, (day + 1) * K)
+    known = (
+        DayTrajectory(data.known_prices[sl, 0], "price_export"),
+        DayTrajectory(data.known_prices[sl, 1], "price_import"),
+    )
+    return config, allow_bids, prices, energies, known
+
+
 def run_day(
     spec: RunSpec,
     data: WeekData,
@@ -176,19 +194,17 @@ def run_day(
     soc_initial: float,
     workdir: str | Path,
 ) -> DayResult:
-    """Plan, dispatch and settle one day; returns the realized terminal SOC."""
+    """Plan, dispatch and settle one day; returns the realized terminal SOC.
+
+    This is the one solve entry point: ``spec.backend`` picks the external
+    solver child or the in-package reference oracle.
+    """
     K = spec.config.horizon_hours
     if K != data.horizon:
         raise ValueError(f"config horizon {K} differs from data horizon {data.horizon}")
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
-    prices, energies = build_day_scenarios(spec, data, day)
-    config, allow_bids = apply_case(spec.config, spec.case)
-    sl = slice(day * K, (day + 1) * K)
-    known = (
-        DayTrajectory(data.known_prices[sl, 0], "price_export"),
-        DayTrajectory(data.known_prices[sl, 1], "price_import"),
-    )
+    config, allow_bids, prices, energies, known = day_inputs(spec, data, day)
     inst = build_instance(
         config, prices, energies, known, soc_initial=soc_initial, allow_bids=allow_bids
     )
@@ -208,6 +224,7 @@ def run_day(
     soc_planned = planned_soc_paths(inst, solution.values)
     expected = expected_cashflow(inst, solution.values)
 
+    sl = slice(day * K, (day + 1) * K)
     realized_e = data.realized_energy[sl]
     realized_p = data.realized_prices[sl]
     accepted = decide_acceptance(program.bids, realized_p[:, 0], realized_p[:, 1])

@@ -92,18 +92,33 @@ class MilpInstance:
             c[vid] = coef
         return c
 
+    def sparse_rows(self):
+        """(A, senses, b) of the rows, A as a CSR matrix.
+
+        The one rows-to-matrix conversion: every array consumer (dense
+        solvers, the audit, the reference oracle) starts from it. Built on
+        demand, so later edits to ``rows`` are always seen.
+        """
+        from scipy import sparse
+
+        indptr = [0]
+        flat = []
+        for _name, terms, _sense, _rhs in self.rows:
+            flat.extend(terms)
+            indptr.append(len(flat))
+        pairs = np.array(flat, dtype=float).reshape(-1, 2)
+        A = sparse.csr_matrix(
+            (pairs[:, 1], pairs[:, 0].astype(np.int64), indptr),
+            shape=(self.n_rows, self.n_vars),
+        )
+        senses = [row[2] for row in self.rows]
+        b = np.array([row[3] for row in self.rows], dtype=float)
+        return A, senses, b
+
     def to_arrays(self):
         """Dense (A, senses, b) of the rows, for array-based solvers."""
-        m, n = self.n_rows, self.n_vars
-        A = np.zeros((m, n))
-        b = np.empty(m)
-        senses = []
-        for i, (_name, terms, sense, rhs) in enumerate(self.rows):
-            for vid, coef in terms:
-                A[i, vid] = coef
-            senses.append(sense)
-            b[i] = rhs
-        return A, senses, b
+        A, senses, b = self.sparse_rows()
+        return A.toarray(), senses, b
 
     def evaluate_objective(self, values: np.ndarray) -> float:
         total = self.objective_constant
@@ -746,14 +761,18 @@ def check_solution(inst: MilpInstance, values: np.ndarray, tol: float = FEAS_TOL
     for i in inst.binary_ids():
         if min(abs(values[i]), abs(values[i] - 1.0)) > tol:
             v.append(f"binary {inst.names[i]} = {values[i]} is fractional")
-    for name, terms, sense, rhs in inst.rows:
-        lhs = sum(coef * values[vid] for vid, coef in terms)
-        if sense == "<=" and lhs > rhs + tol:
-            v.append(f"{name}: {lhs} > {rhs}")
-        elif sense == ">=" and lhs < rhs - tol:
-            v.append(f"{name}: {lhs} < {rhs}")
-        elif sense == "=" and abs(lhs - rhs) > tol:
-            v.append(f"{name}: {lhs} != {rhs}")
+    A, senses, b = inst.sparse_rows()
+    lhs = A @ values
+    sense = np.array(senses, dtype=str)
+    bad = (
+        ((sense == "<=") & (lhs > b + tol))
+        | ((sense == ">=") & (lhs < b - tol))
+        | ((sense == "=") & (np.abs(lhs - b) > tol))
+    )
+    ops = {"<=": ">", ">=": "<", "=": "!="}
+    for i in np.flatnonzero(bad):
+        name, _terms, row_sense, rhs = inst.rows[i]
+        v.append(f"{name}: {float(lhs[i])} {ops[row_sense]} {rhs}")
     return v
 
 

@@ -32,23 +32,11 @@ DEFAULT_SOLVER_CMD = (
 )
 SOLVER_CMD_ENV = "REC_SOLVER_CMD"
 
+# Wall time the solver child gets beyond its own time limit: interpreter
+# start-up, reading the LP file and writing the solution file.
+SOLVER_GRACE_S = 60.0
+
 BND_TOL = 1e-9
-
-
-@dataclass
-class SolveRequest:
-    instance: MilpInstance
-    time_limit_s: float = 300.0
-    rel_gap: float = 1e-6
-    backend: str = "external"  # external | reference
-
-    def __post_init__(self):
-        if self.time_limit_s <= 0:
-            raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
-        if self.rel_gap < 0:
-            raise ValueError(f"rel_gap must be >= 0, got {self.rel_gap}")
-        if self.backend not in ("external", "reference"):
-            raise ValueError(f"unknown backend {self.backend!r}")
 
 
 def _fmt(x: float) -> str:
@@ -133,6 +121,7 @@ def parse_lp(text: str) -> ParsedLp:
     binaries: set[str] = set()
     order: list[str] = []
     bounds_order: list[str] = []
+    bounds_seen: set[str] = set()
     seen: set[str] = set()
 
     def note(name: str, in_bounds: bool = False):
@@ -141,7 +130,8 @@ def parse_lp(text: str) -> ParsedLp:
             order.append(name)
             lb.setdefault(name, 0.0)
             ub.setdefault(name, np.inf)
-        if in_bounds and name not in bounds_order:
+        if in_bounds and name not in bounds_seen:
+            bounds_seen.add(name)
             bounds_order.append(name)
 
     for raw in text.splitlines():
@@ -284,7 +274,13 @@ def solve_external(
     cmd = solver_command().format(
         lp=str(lp_path), sol=str(sol_path), time_limit=time_limit_s, gap=rel_gap
     )
-    proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True)
+    timeout = time_limit_s + SOLVER_GRACE_S
+    try:
+        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        raise RuntimeError(
+            f"solver command timed out after {timeout} s: {cmd}; instance kept at {lp_path}"
+        ) from None
     if proc.returncode != 0:
         raise RuntimeError(
             f"solver command failed ({proc.returncode}): {cmd}\n{proc.stderr[-2000:]}"
@@ -292,16 +288,6 @@ def solve_external(
     if not sol_path.exists():
         raise RuntimeError(f"solver command produced no solution file: {cmd}")
     return parse_solution(sol_path.read_text(), inst)
-
-
-def solve(request: SolveRequest, workdir: str | Path | None = None) -> Solution:
-    if request.backend == "reference":
-        return reference_solve(request.instance)
-    if workdir is None:
-        raise ValueError("external backend needs a working directory for exchange files")
-    return solve_external(
-        request.instance, workdir, time_limit_s=request.time_limit_s, rel_gap=request.rel_gap
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -317,34 +303,18 @@ _BRANCH_PRIORITY = {"sell_on": 0, "buy_on": 0, "pick_sell": 1, "pick_buy": 1}
 class _Propagator:
     """Vectorized activity-based bound tightening over <=-normalized rows."""
 
-    def __init__(self, inst: MilpInstance, binary_mask: np.ndarray):
+    def __init__(self, A, senses, b, binary_mask: np.ndarray):
         from scipy import sparse
 
         self.binary_mask = binary_mask
-        rows, cols, vals, rhs = [], [], [], []
-        r = 0
-        for _name, terms, sense, rr in inst.rows:
-            if sense in ("<=", "="):
-                for vid, coef in terms:
-                    rows.append(r)
-                    cols.append(vid)
-                    vals.append(coef)
-                rhs.append(rr)
-                r += 1
-            if sense in (">=", "="):
-                for vid, coef in terms:
-                    rows.append(r)
-                    cols.append(vid)
-                    vals.append(-coef)
-                rhs.append(-rr)
-                r += 1
-        self.n_rows = r
-        self.rhs = np.array(rhs)
-        self.nz_row = np.array(rows, dtype=int)
-        self.nz_col = np.array(cols, dtype=int)
-        self.nz_val = np.array(vals)
-        n = inst.n_vars
-        S = sparse.csr_matrix((self.nz_val, (self.nz_row, self.nz_col)), shape=(r, n))
+        senses = np.array(senses, dtype=str)
+        le = senses != ">="
+        ge = senses != "<="
+        S = sparse.vstack([A[le], -A[ge]], format="csr")
+        self.rhs = np.concatenate([b[le], -b[ge]])
+        self.nz_row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+        self.nz_col = S.indices
+        self.nz_val = S.data
         self.S_pos = S.maximum(0).tocsr()
         self.S_neg = S.minimum(0).tocsr()
         self.pos_nz = self.nz_val > 0
@@ -409,7 +379,8 @@ class _Propagator:
 class _Oracle:
     def __init__(self, inst: MilpInstance):
         self.inst = inst
-        self.A, self.senses, self.b = inst.to_arrays()
+        A, self.senses, self.b = inst.sparse_rows()
+        self.A = A.toarray()
         self.A_pos = np.maximum(self.A, 0.0)
         self.A_neg = np.minimum(self.A, 0.0)
         self.sense_arr = np.array([{"<=": 0, "=": 1, ">=": 2}[s] for s in self.senses])
@@ -417,7 +388,7 @@ class _Oracle:
         self.binaries = np.array(inst.binary_ids(), dtype=int)
         self.binary_mask = np.zeros(inst.n_vars, dtype=bool)
         self.binary_mask[self.binaries] = True
-        self.prop = _Propagator(inst, self.binary_mask)
+        self.prop = _Propagator(A, self.senses, self.b, self.binary_mask)
         prio = np.full(inst.n_vars, 2)
         for sym, entries in inst.index.items():
             p = _BRANCH_PRIORITY.get(sym)
@@ -471,20 +442,6 @@ class _Oracle:
         if res.reduced_costs is not None:
             rc[free_idx] = res.reduced_costs
         return "optimal", res.objective + const, x, rc
-
-    def dive(self, lb, ub, x):
-        """Fix binaries at the rounding of x; returns (obj, x) or None."""
-        lo = lb.copy()
-        hi = ub.copy()
-        r = np.round(np.clip(x[self.binaries], lb[self.binaries], ub[self.binaries]))
-        lo[self.binaries] = r
-        hi[self.binaries] = r
-        if not self.prop.run(lo, hi):
-            return None
-        status, obj, xx, _rc = self.relax(lo, hi)
-        if status != "optimal":
-            return None
-        return obj, xx
 
     def feasible_point(self, x) -> bool:
         lhs = self.A @ x

@@ -86,6 +86,24 @@ class TestCases:
             RunSpec(config=small_config(), case="case4")
 
 
+class TestRunSpec:
+    def test_solver_settings_validated(self):
+        with pytest.raises(ValueError, match="time_limit_s"):
+            RunSpec(config=small_config(), time_limit_s=0.0)
+        with pytest.raises(ValueError, match="rel_gap"):
+            RunSpec(config=small_config(), rel_gap=-1.0)
+        with pytest.raises(ValueError, match="backend"):
+            RunSpec(config=small_config(), backend="quantum")
+
+    def test_cli_refuses_bad_settings_before_solving(self, tmp_path):
+        for flag, value in (("--time-limit", "0"), ("--gap", "-1")):
+            with pytest.raises(SystemExit, match="invalid run settings"):
+                cli_main([
+                    "plan", "--data-dir", str(tmp_path / "missing"),
+                    "--out-dir", str(tmp_path / "out"), flag, value,
+                ])
+
+
 class TestScenarioTraining:
     def test_price_window_uses_trailing_days(self):
         data = flat_week(n_hist_days=6, n_days=2)

@@ -3,7 +3,10 @@ import pytest
 
 from recbid.core import validate_program
 from recbid.milp import (
+    BINARY,
+    CONTINUOUS,
     BuildError,
+    MilpInstance,
     acceptance_matrices,
     build_instance,
     check_solution,
@@ -15,7 +18,14 @@ from recbid.milp import (
 from recbid.simplex import solve_lp
 from recbid.solver import emit_exchange, reference_solve
 
-from conftest import energy_set, known_prices, price_set, random_inputs, small_config
+from conftest import (
+    energy_set,
+    known_prices,
+    price_set,
+    random_inputs,
+    random_instance,
+    small_config,
+)
 
 
 def expected_counts(K, nm, nr, battery=True, green=True):
@@ -412,3 +422,53 @@ class TestObjectiveAndExtraction:
             s_locked = reference_solve(locked, binary_limit=40)
             assert s_free.status == "optimal" and s_locked.status == "optimal"
             assert s_free.objective_value >= s_locked.objective_value - 1e-9
+
+
+class TestSparseRows:
+    def test_matches_explicit_dense_fill(self):
+        inst = random_instance(1)
+        dense = np.zeros((inst.n_rows, inst.n_vars))
+        for i, (_name, terms, _sense, _rhs) in enumerate(inst.rows):
+            for vid, coef in terms:
+                dense[i, vid] = coef
+        A, senses, b = inst.sparse_rows()
+        assert np.array_equal(A.toarray(), dense)
+        assert senses == [row[2] for row in inst.rows]
+        assert np.array_equal(b, [row[3] for row in inst.rows])
+        x = np.random.default_rng(1).random(inst.n_vars)
+        loop = [sum(coef * x[vid] for vid, coef in terms) for _n, terms, _s, _r in inst.rows]
+        assert (A @ x).tolist() == loop  # same products, same order: bit for bit
+
+
+class TestCheckSolution:
+    @staticmethod
+    def audited_instance():
+        inst = MilpInstance()
+        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 4.0)
+        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, -1.0, 2.0)
+        z = inst.add_var("z", (0,), "z_0", BINARY, 0.0, 1.0)
+        inst.add_row("le_0", [(x, 1.0), (y, 1.0)], "<=", 2.0)
+        inst.add_row("ge_0", [(y, 1.0), (z, 1.0)], ">=", 0.0)
+        inst.add_row("eq_0", [(x, 1.0), (z, -1.0)], "=", 1.0)
+        return inst
+
+    def test_feasible_point_is_clean(self):
+        assert check_solution(self.audited_instance(), np.array([2.0, 0.0, 1.0])) == []
+
+    def test_wrong_length_reported_alone(self):
+        assert check_solution(self.audited_instance(), np.array([5.0, -2.0])) == [
+            "solution has (2,) values for 3 variables"
+        ]
+
+    def test_every_violation_kind_in_order(self):
+        # x above its bound, y below, z fractional, and each row broken:
+        # x + y = 3 > 2, y + z = -1.5 < 0, x - z = 4.5 != 1.
+        got = check_solution(self.audited_instance(), np.array([5.0, -2.0, 0.5]))
+        assert got == [
+            "y_0 = -2.0 below lower bound -1.0",
+            "x_0 = 5.0 above upper bound 4.0",
+            "binary z_0 = 0.5 is fractional",
+            "le_0: 3.0 > 2.0",
+            "ge_0: -1.5 < 0.0",
+            "eq_0: 4.5 != 1.0",
+        ]

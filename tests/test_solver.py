@@ -1,4 +1,5 @@
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -6,12 +7,10 @@ import pytest
 import recbid.solver as solver_mod
 from recbid.milp import CONTINUOUS, MilpInstance, check_solution
 from recbid.solver import (
-    SolveRequest,
     emit_exchange,
     parse_lp,
     parse_solution,
     reference_solve,
-    solve,
     solve_external,
 )
 
@@ -175,20 +174,15 @@ class TestExternalBackend:
         with pytest.raises(RuntimeError, match="solver command"):
             solve_external(tiny_instance, tmp_path)
 
-
-class TestSolveDispatcher:
-    def test_reference_backend(self, tiny_instance):
-        sol = solve(SolveRequest(instance=tiny_instance, backend="reference"))
-        assert sol.objective_value == pytest.approx(10.0)
-
-    def test_external_needs_workdir(self, tiny_instance):
-        with pytest.raises(ValueError, match="working directory"):
-            solve(SolveRequest(instance=tiny_instance, backend="external"))
-
-    def test_request_validation(self, tiny_instance):
-        with pytest.raises(ValueError, match="time_limit"):
-            SolveRequest(instance=tiny_instance, time_limit_s=0.0)
-        with pytest.raises(ValueError, match="rel_gap"):
-            SolveRequest(instance=tiny_instance, rel_gap=-1.0)
-        with pytest.raises(ValueError, match="backend"):
-            SolveRequest(instance=tiny_instance, backend="quantum")
+    def test_hung_child_is_killed_at_time_limit_plus_grace(
+        self, tiny_instance, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(solver_mod, "SOLVER_GRACE_S", 1.0)
+        monkeypatch.setenv(
+            "REC_SOLVER_CMD", f"{sys.executable} -c 'import time; time.sleep(60)' {{lp}} {{sol}}"
+        )
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="timed out") as err:
+            solve_external(tiny_instance, tmp_path, time_limit_s=1.0)
+        assert time.perf_counter() - start < 30.0
+        assert str(tmp_path / "instance.lp") in str(err.value)
