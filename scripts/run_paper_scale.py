@@ -2,9 +2,11 @@
 """Full-size experiment: 24-hour days, ten price and ten energy scenarios,
 one simulated week, all four study cases.
 
-Runs on the bundled synthetic data by default. Expect minutes per day per
-case with the bundled HiGHS backend; pass a looser --gap to trade
-optimality margin for time.
+Runs on the bundled synthetic data by default. HiGHS solves each day's
+MILP in this process (about 43,000 variables, 58,000 rows and 7,700
+binaries at ten by ten scenarios), stopping at --time-limit per day and
+case; the time a day takes to reach the default 1e-3 gap has not been
+measured. Pass a looser --gap to trade optimality margin for time.
 """
 
 from __future__ import annotations

@@ -196,8 +196,9 @@ def run_day(
 ) -> DayResult:
     """Plan, dispatch and settle one day; returns the realized terminal SOC.
 
-    This is the one solve entry point: ``spec.backend`` picks the external
-    solver child or the in-package reference oracle.
+    This is the one solve entry point: ``spec.backend`` picks HiGHS (the
+    external route) or the in-package reference oracle. Solver errors are
+    re-raised naming the day and the case.
     """
     K = spec.config.horizon_hours
     if K != data.horizon:
@@ -209,16 +210,20 @@ def run_day(
         config, prices, energies, known, soc_initial=soc_initial, allow_bids=allow_bids
     )
     lp_path = workdir / "instance.lp"
-    if spec.backend == "reference":
-        lp_path.write_text(emit_exchange(inst))
-        solution = reference_solve(inst)
-    else:
-        solution = solve_external(
-            inst, workdir, time_limit_s=spec.time_limit_s, rel_gap=spec.rel_gap
-        )
+    try:
+        if spec.backend == "reference":
+            lp_path.write_text(emit_exchange(inst))
+            solution = reference_solve(inst)
+        else:
+            solution = solve_external(
+                inst, workdir, time_limit_s=spec.time_limit_s, rel_gap=spec.rel_gap
+            )
+    except (RuntimeError, ValueError, OSError) as exc:
+        raise RuntimeError(f"day {day}, case {spec.case}: {exc}") from exc
     if solution.status not in ("optimal", "gap_limit"):
         raise RuntimeError(
-            f"day {day}: solver returned {solution.status}; instance kept at {lp_path}"
+            f"day {day}, case {spec.case}: solver returned {solution.status}; "
+            f"instance kept at {lp_path}"
         )
     program = extract_program(inst, solution)
     soc_planned = planned_soc_paths(inst, solution.values)

@@ -1,10 +1,16 @@
-"""Default external MILP solver: HiGHS via scipy, driven by LP files.
+"""HiGHS as a solver program driven by LP files.
 
-Runs as a subprocess (``python -m recbid.highs_runner instance.lp out.sol``)
-so the main process only ever talks to exchange files; point
-``REC_SOLVER_CMD`` at any other solver wrapper with the same contract to
-swap it out. The solution file carries a status line, the reported
-objective and gap, then one ``name value`` pair per variable.
+``solve_external`` runs HiGHS in its own process by default. This module
+is the same solver behind the exchange-file contract, for use as a
+``REC_SOLVER_CMD`` child::
+
+    REC_SOLVER_CMD="{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}"
+
+Any other solver wrapper with the same contract can take its place. The
+solution file carries a status line, the reported objective and gap, then
+one ``name value`` pair per variable. A time limit reached with no
+feasible solution, or any other result without a solution, exits with
+code 3.
 """
 
 from __future__ import annotations
@@ -14,11 +20,8 @@ import sys
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
-from .solver import ParsedLp, parse_lp
-
-_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
+from .solver import ParsedLp, highs_solve, parse_lp, write_highs_solution
 
 
 def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
@@ -49,19 +52,8 @@ def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
         else:
             clo.append(rhs)
             chi.append(rhs)
-    constraints = []
-    if parsed.rows:
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(len(parsed.rows), n))
-        constraints = [LinearConstraint(mat, np.array(clo), np.array(chi))]
-
-    res = milp(
-        c,
-        constraints=constraints,
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options={"time_limit": time_limit, "mip_rel_gap": gap, "presolve": True},
-    )
-    return res
+    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(len(parsed.rows), n))
+    return highs_solve(c, mat, np.array(clo), np.array(chi), lb, ub, integrality, time_limit, gap)
 
 
 def main(argv=None) -> int:
@@ -75,24 +67,11 @@ def main(argv=None) -> int:
     with open(args.lp_file) as fh:
         parsed = parse_lp(fh.read())
     res = solve_parsed(parsed, args.time_limit, args.gap)
-
-    status = _STATUS.get(res.status, "unknown")
-    if status == "gap_limit" and res.x is None:
-        status = "unknown"
-    lines = [f"status {status}"]
-    if res.x is not None:
-        obj = float(res.fun) if res.fun is not None else 0.0
-        if parsed.maximize:
-            obj = -obj
-        lines.append(f"objective {obj!r}")
-        gap = getattr(res, "mip_gap", 0.0) or 0.0
-        lines.append(f"gap {gap!r}")
-        for name, val in zip(parsed.names, res.x):
-            lines.append(f"{name} {float(val)!r}")
-    with open(args.sol_file, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if status == "unknown":
-        print(f"solver finished with unmapped status {res.status}", file=sys.stderr)
+    problem = write_highs_solution(
+        args.sol_file, res, parsed.names, parsed.maximize, args.time_limit
+    )
+    if problem is not None:
+        print(problem, file=sys.stderr)
         return 3
     return 0
 

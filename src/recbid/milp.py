@@ -14,6 +14,8 @@ j = candidate price choice (ranges over price scenarios).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,19 +44,58 @@ class BuildError(ValueError):
         super().__init__("; ".join(self.violations))
 
 
+class RowView(Sequence):
+    """Read-only sequence of an instance's rows as ``(name, terms, sense, rhs)``.
+
+    ``terms`` is the row's ``((vid, coef), ...)`` tuple sorted by variable id.
+    Each tuple is built when it is read; the instance keeps only flat buffers.
+    """
+
+    def __init__(self, inst: MilpInstance):
+        self._inst = inst
+
+    def __len__(self) -> int:
+        return len(self._inst.row_names)
+
+    def __getitem__(self, i: int):
+        inst = self._inst
+        i = range(len(self))[i]
+        lo, hi = inst.row_ptr[i], inst.row_ptr[i + 1]
+        terms = tuple(zip(inst.row_cols[lo:hi], inst.row_vals[lo:hi]))
+        return inst.row_names[i], terms, inst.row_senses[i], inst.row_rhs[i]
+
+    def __iter__(self):
+        inst = self._inst
+        cols, vals, ptr = inst.row_cols, inst.row_vals, inst.row_ptr
+        rows = zip(inst.row_names, inst.row_senses, inst.row_rhs, ptr, ptr[1:])
+        for name, sense, rhs, lo, hi in rows:
+            yield name, tuple(zip(cols[lo:hi], vals[lo:hi])), sense, rhs
+
+
 @dataclass
 class MilpInstance:
-    """Materialized MILP: variables, rows, objective and symbol lookups."""
+    """Materialized MILP: variables, rows, objective and symbol lookups.
+
+    Rows live in flat CSR-style buffers: row ``i`` has the terms
+    ``row_cols[row_ptr[i]:row_ptr[i + 1]]`` / ``row_vals[...]``, sorted by
+    variable id. Tuples of Python ints and floats per term would take several
+    times the memory of these 16 bytes per nonzero.
+    """
 
     names: list[str] = field(default_factory=list)
     kinds: list[str] = field(default_factory=list)
     lb: list[float] = field(default_factory=list)
     ub: list[float] = field(default_factory=list)
-    rows: list[tuple[str, tuple[tuple[int, float], ...], str, float]] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     objective_constant: float = 0.0
     index: dict[str, dict[tuple, int]] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
+    row_names: list[str] = field(default_factory=list)
+    row_senses: list[str] = field(default_factory=list)
+    row_rhs: array = field(default_factory=lambda: array("d"))
+    row_ptr: array = field(default_factory=lambda: array("q", [0]))
+    row_cols: array = field(default_factory=lambda: array("q"))
+    row_vals: array = field(default_factory=lambda: array("d"))
 
     @property
     def n_vars(self) -> int:
@@ -62,7 +103,11 @@ class MilpInstance:
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.row_names)
+
+    @property
+    def rows(self) -> RowView:
+        return RowView(self)
 
     def add_var(self, sym: str, idx: tuple, name: str, kind: str, lo: float, hi: float) -> int:
         vid = len(self.names)
@@ -74,11 +119,18 @@ class MilpInstance:
         return vid
 
     def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
+        """Append a row; duplicate terms are summed and zero inputs dropped."""
         coeffs: dict[int, float] = {}
         for vid, coef in terms:
             if coef != 0.0:
                 coeffs[vid] = coeffs.get(vid, 0.0) + coef
-        self.rows.append((name, tuple(sorted(coeffs.items())), sense, rhs))
+        cols = sorted(coeffs)
+        self.row_cols.extend(cols)
+        self.row_vals.extend([coeffs[vid] for vid in cols])
+        self.row_ptr.append(len(self.row_cols))
+        self.row_names.append(name)
+        self.row_senses.append(sense)
+        self.row_rhs.append(rhs)
 
     def var(self, sym: str, *idx) -> int:
         return self.index[sym][tuple(idx)]
@@ -95,25 +147,19 @@ class MilpInstance:
     def sparse_rows(self):
         """(A, senses, b) of the rows, A as a CSR matrix.
 
-        The one rows-to-matrix conversion: every array consumer (dense
-        solvers, the audit, the reference oracle) starts from it. Built on
-        demand, so later edits to ``rows`` are always seen.
+        The one rows-to-matrix conversion: every array consumer (in-process
+        HiGHS, dense solvers, the audit, the reference oracle) starts from
+        it. Built on demand from copies of the row buffers: later
+        ``add_row`` calls are seen, and an array whose buffer is exported
+        could not grow.
         """
         from scipy import sparse
 
-        indptr = [0]
-        flat = []
-        for _name, terms, _sense, _rhs in self.rows:
-            flat.extend(terms)
-            indptr.append(len(flat))
-        pairs = np.array(flat, dtype=float).reshape(-1, 2)
         A = sparse.csr_matrix(
-            (pairs[:, 1], pairs[:, 0].astype(np.int64), indptr),
+            (np.array(self.row_vals), np.array(self.row_cols), np.array(self.row_ptr)),
             shape=(self.n_rows, self.n_vars),
         )
-        senses = [row[2] for row in self.rows]
-        b = np.array([row[3] for row in self.rows], dtype=float)
-        return A, senses, b
+        return A, list(self.row_senses), np.array(self.row_rhs)
 
     def to_arrays(self):
         """Dense (A, senses, b) of the rows, for array-based solvers."""
@@ -771,8 +817,7 @@ def check_solution(inst: MilpInstance, values: np.ndarray, tol: float = FEAS_TOL
     )
     ops = {"<=": ">", ">=": "<", "=": "!="}
     for i in np.flatnonzero(bad):
-        name, _terms, row_sense, rhs = inst.rows[i]
-        v.append(f"{name}: {float(lhs[i])} {ops[row_sense]} {rhs}")
+        v.append(f"{inst.row_names[i]}: {float(lhs[i])} {ops[senses[i]]} {inst.row_rhs[i]}")
     return v
 
 

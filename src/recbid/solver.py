@@ -1,14 +1,17 @@
-"""Solving MilpInstances: exchange files, external subprocess, exact oracle.
+"""Solving MilpInstances: exchange files, HiGHS, exact oracle.
 
 Two routes exist on purpose. The external route writes the instance in LP
-format and shells out to whatever command ``REC_SOLVER_CMD`` names (by
-default a bundled HiGHS-based runner), so production-scale instances go to
-a real MILP solver. The reference route is a self-contained exact search:
-branch-and-bound over the binary variables with bound propagation and
-LP-relaxation pruning, each relaxation solved by the in-package simplex.
-Open nodes are explored best-bound first; that order is a heuristic that
-finds good incumbents early, while exactness rests on the pruning rules.
-It exists to cross-check the external solver on desk-scale instances.
+format and solves it with HiGHS (through ``scipy.optimize.milp``), by
+default in this process from the instance's own sparse rows. Setting
+``REC_SOLVER_CMD`` swaps in any solver program instead: it runs as a child
+that reads the LP file and writes a solution file, for example
+``{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}``.
+The reference route is a self-contained exact search: branch-and-bound
+over the binary variables with bound propagation and LP-relaxation
+pruning, each relaxation solved by the in-package simplex. Open nodes are
+explored best-bound first; that order is a heuristic that finds good
+incumbents early, while exactness rests on the pruning rules. It exists
+to cross-check HiGHS on desk-scale instances.
 """
 
 from __future__ import annotations
@@ -27,9 +30,6 @@ import numpy as np
 from .milp import MilpInstance, Solution
 from .simplex import solve_lp
 
-DEFAULT_SOLVER_CMD = (
-    "{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}"
-)
 SOLVER_CMD_ENV = "REC_SOLVER_CMD"
 
 # Wall time the solver child gets beyond its own time limit: interpreter
@@ -222,19 +222,22 @@ def parse_solution(text: str, inst: MilpInstance) -> Solution:
     status = None
     gap = 0.0
     values: dict[str, float] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, _, rest = line.partition(" ")
-        if key == "status":
-            status = rest.strip()
-        elif key == "objective":
-            continue
-        elif key == "gap":
-            gap = float(rest)
-        else:
-            values[key] = float(rest)
+        try:
+            if key == "status":
+                status = rest.strip()
+            elif key == "objective":
+                continue
+            elif key == "gap":
+                gap = float(rest)
+            else:
+                values[key] = float(rest)
+        except ValueError:
+            raise ValueError(f"line {lineno}: malformed solution line {raw!r}") from None
     if status is None:
         raise ValueError("solution file has no status line")
     if status not in ("optimal", "infeasible", "unbounded", "gap_limit"):
@@ -254,9 +257,73 @@ def parse_solution(text: str, inst: MilpInstance) -> Solution:
     )
 
 
-def solver_command() -> str:
-    template = os.environ.get(SOLVER_CMD_ENV, DEFAULT_SOLVER_CMD)
-    return template.replace("{python}", sys.executable)
+_HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
+
+
+def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, gap: float):
+    """Minimize ``c @ x`` subject to ``row_lo <= A @ x <= row_hi`` with HiGHS.
+
+    The package's one ``scipy.optimize.milp`` call, shared by the in-process
+    route and the ``recbid.highs_runner`` child.
+    """
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    return milp(
+        c,
+        constraints=[LinearConstraint(A, row_lo, row_hi)] if A.shape[0] else [],
+        integrality=integrality,
+        bounds=Bounds(lb, ub),
+        options={"time_limit": time_limit, "mip_rel_gap": gap, "presolve": True},
+    )
+
+
+def write_highs_solution(path, res, names, maximize: bool, time_limit: float) -> str | None:
+    """Write a ``highs_solve`` result as a solution file.
+
+    Returns None, or why the result has no solution to report; the file
+    then says ``status unknown``.
+    """
+    status = _HIGHS_STATUS.get(res.status, "unknown")
+    if status == "gap_limit" and res.x is None:
+        status = "unknown"
+    lines = [f"status {status}"]
+    if res.x is not None:
+        obj = float(res.fun) if res.fun is not None else 0.0
+        if maximize:
+            obj = -obj
+        lines.append(f"objective {obj!r}")
+        gap = getattr(res, "mip_gap", 0.0) or 0.0
+        lines.append(f"gap {gap!r}")
+        for name, val in zip(names, res.x):
+            lines.append(f"{name} {float(val)!r}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if status != "unknown":
+        return None
+    if res.status == 1:
+        return f"time limit of {time_limit} s reached with no feasible solution"
+    return f"HiGHS finished with unmapped status {res.status}: {res.message}"
+
+
+def _highs_arrays(inst: MilpInstance):
+    """``highs_solve`` inputs of an instance, maximizing its objective.
+
+    Bit for bit what a child reads back from the instance's LP text, which
+    writes -0.0 as 0.0 and caps binaries at 1.
+    """
+    A, senses, b = inst.sparse_rows()
+    b += 0.0
+    sense = np.array(senses, dtype=str)
+    row_lo = np.where(sense == "<=", -np.inf, b)
+    row_hi = np.where(sense == ">=", np.inf, b)
+    lb = np.array(inst.lb, dtype=float) + 0.0
+    ub = np.array(inst.ub, dtype=float) + 0.0
+    integrality = np.zeros(inst.n_vars, dtype=int)
+    binaries = inst.binary_ids()
+    integrality[binaries] = 1
+    ub[binaries] = np.minimum(ub[binaries], 1.0)
+    c = -(inst.objective_vector() + 0.0)
+    return c, A, row_lo, row_hi, lb, ub, integrality
 
 
 def solve_external(
@@ -265,13 +332,25 @@ def solve_external(
     time_limit_s: float = 300.0,
     rel_gap: float = 1e-6,
 ) -> Solution:
-    """Write instance.lp, run the configured solver command, read solution.sol."""
+    """Write instance.lp, solve it, and write and read back solution.sol.
+
+    HiGHS runs in this process. When ``REC_SOLVER_CMD`` is set, the command
+    it names solves instance.lp in a child instead; ``{python}``, ``{lp}``,
+    ``{sol}``, ``{time_limit}`` and ``{gap}`` in it are filled in.
+    """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
     lp_path = workdir / "instance.lp"
     sol_path = workdir / "solution.sol"
     lp_path.write_text(emit_exchange(inst))
-    cmd = solver_command().format(
+    template = os.environ.get(SOLVER_CMD_ENV)
+    if not template:
+        res = highs_solve(*_highs_arrays(inst), time_limit_s, rel_gap)
+        problem = write_highs_solution(sol_path, res, inst.names, True, time_limit_s)
+        if problem is not None:
+            raise RuntimeError(f"{problem}; instance kept at {lp_path}")
+        return _read_solution(sol_path, inst)
+    cmd = template.replace("{python}", sys.executable).format(
         lp=str(lp_path), sol=str(sol_path), time_limit=time_limit_s, gap=rel_gap
     )
     timeout = time_limit_s + SOLVER_GRACE_S
@@ -283,11 +362,19 @@ def solve_external(
         ) from None
     if proc.returncode != 0:
         raise RuntimeError(
-            f"solver command failed ({proc.returncode}): {cmd}\n{proc.stderr[-2000:]}"
+            f"solver command failed ({proc.returncode}): {cmd}; instance kept at {lp_path}\n"
+            f"{proc.stderr[-2000:]}"
         )
     if not sol_path.exists():
         raise RuntimeError(f"solver command produced no solution file: {cmd}")
-    return parse_solution(sol_path.read_text(), inst)
+    return _read_solution(sol_path, inst)
+
+
+def _read_solution(sol_path: Path, inst: MilpInstance) -> Solution:
+    try:
+        return parse_solution(sol_path.read_text(), inst)
+    except ValueError as exc:
+        raise ValueError(f"{sol_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,8 @@ def random_instance(seed, K=3, nm=2, nr=2):
     return build_instance(cfg, prices, energies, kp)
 
 
-@pytest.fixture
-def tiny_instance():
-    """Battery-free single-hour instance with a hand-checkable optimum."""
+def tiny_inputs():
+    """Battery-free single-hour inputs with a hand-checkable optimum."""
     cfg = small_config(
         K=1,
         p_export_max=50.0,
@@ -118,4 +117,10 @@ def tiny_instance():
     prices = price_set([[0.30]], [[0.10]])
     energies = energy_set([[40.0]], [[10.0]], [[20.0]])
     kp = known_prices([0.10], [0.25])
-    return build_instance(cfg, prices, energies, kp)
+    return cfg, prices, energies, kp
+
+
+@pytest.fixture
+def tiny_instance():
+    """Battery-free single-hour instance with a hand-checkable optimum."""
+    return build_instance(*tiny_inputs())

@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -176,8 +177,17 @@ class TestRunDay:
         )
         data = flat_week(pv=(0.0, 0.0, 0.0))
         spec = tiny_spec(config=cfg)
-        with pytest.raises(RuntimeError, match="instance.lp"):
+        with pytest.raises(RuntimeError, match="instance.lp") as err:
             run_day(spec, data, 0, cfg.soc_initial, tmp_path)
+        assert "day 0, case base: solver returned infeasible" in str(err.value)
+
+    @pytest.mark.slow
+    def test_solver_error_names_day_and_case(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} -c raise {{lp}} {{sol}}")
+        spec = tiny_spec(backend="external", case="no_msd")
+        with pytest.raises(RuntimeError, match=r"^day 1, case no_msd: solver command failed") as err:
+            run_day(spec, flat_week(), 1, spec.config.soc_initial, tmp_path)
+        assert isinstance(err.value.__cause__, RuntimeError)
 
 
 class TestRunWeek:

@@ -25,6 +25,7 @@ from conftest import (
     random_inputs,
     random_instance,
     small_config,
+    tiny_inputs,
 )
 
 
@@ -438,6 +439,52 @@ class TestSparseRows:
         x = np.random.default_rng(1).random(inst.n_vars)
         loop = [sum(coef * x[vid] for vid, coef in terms) for _n, terms, _s, _r in inst.rows]
         assert (A @ x).tolist() == loop  # same products, same order: bit for bit
+
+
+class TestRowView:
+    @staticmethod
+    def built_with_old_rows(inputs, monkeypatch):
+        """The instance built from ``inputs`` and the (name, terms, sense,
+        rhs) tuples that add_row stored when it kept a list of them."""
+        old_rows = []
+        real = MilpInstance.add_row
+
+        def recording(self, name, terms, sense, rhs):
+            terms = list(terms)
+            coeffs = {}
+            for vid, coef in terms:
+                if coef != 0.0:
+                    coeffs[vid] = coeffs.get(vid, 0.0) + coef
+            old_rows.append((name, tuple(sorted(coeffs.items())), sense, rhs))
+            real(self, name, terms, sense, rhs)
+
+        monkeypatch.setattr(MilpInstance, "add_row", recording)
+        inst = build_instance(*inputs)
+        monkeypatch.undo()
+        return inst, old_rows
+
+    @pytest.mark.parametrize("inputs", [tiny_inputs, lambda: random_inputs(1)])
+    def test_view_yields_the_stored_tuples(self, inputs, monkeypatch):
+        inst, old_rows = self.built_with_old_rows(inputs(), monkeypatch)
+        assert list(inst.rows) == old_rows
+        assert len(inst.rows) == inst.n_rows == len(old_rows)
+        assert [inst.rows[i] for i in range(len(old_rows))] == old_rows
+        assert inst.rows[-1] == old_rows[-1]
+        with pytest.raises(IndexError):
+            inst.rows[len(old_rows)]
+        with pytest.raises(TypeError):
+            inst.rows[0] = old_rows[1]
+
+    def test_add_row_after_sparse_rows(self):
+        inst = random_instance(1)
+        A, senses, b = inst.sparse_rows()
+        inst.add_row("extra", [(3, 2.0), (1, -1.0), (3, 1.0), (0, 0.0)], ">=", 5.0)
+        A2, senses2, b2 = inst.sparse_rows()
+        assert A2.shape == (A.shape[0] + 1, A.shape[1])
+        assert (A2[:-1] != A).nnz == 0
+        assert A2[-1].toarray()[0, :4].tolist() == [0.0, -1.0, 0.0, 3.0]
+        assert senses2 == senses + [">="] and b2.tolist() == b.tolist() + [5.0]
+        assert inst.rows[-1] == ("extra", ((1, -1.0), (3, 3.0)), ">=", 5.0)
 
 
 class TestCheckSolution:

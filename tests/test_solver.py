@@ -1,10 +1,13 @@
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+import scipy.optimize
 
 import recbid.solver as solver_mod
+from recbid import highs_runner
 from recbid.milp import CONTINUOUS, MilpInstance, check_solution
 from recbid.solver import (
     emit_exchange,
@@ -103,6 +106,11 @@ class TestParseSolution:
         sol = parse_solution(text, inst)
         assert sol.objective_value == pytest.approx(4.0)
 
+    def test_malformed_value_names_line(self):
+        for text, lineno in (("status optimal\nx_0 two\n", 2), ("status optimal\n\ngap\n", 3)):
+            with pytest.raises(ValueError, match=f"line {lineno}: malformed"):
+                parse_solution(text, single_var_instance())
+
 
 class TestReferenceSolve:
     def test_pure_lp_when_no_binaries(self):
@@ -138,7 +146,15 @@ class TestReferenceSolve:
         assert sol.status == "infeasible"
 
 
-@pytest.mark.slow
+def no_incumbent_milp(*args, **kwargs):
+    """What scipy.optimize.milp returns when HiGHS stops at its time limit
+    before finding any feasible point."""
+    return SimpleNamespace(status=1, x=None, fun=None, message="Time limit reached.")
+
+
+CHILD_CMD = "{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}"
+
+
 class TestExternalBackend:
     def test_roundtrip_matches_reference(self, tiny_instance, tmp_path):
         ext = solve_external(tiny_instance, tmp_path)
@@ -157,6 +173,69 @@ class TestExternalBackend:
             scale = max(1.0, abs(ref.objective_value))
             assert abs(ref.objective_value - ext.objective_value) <= 1e-6 * scale
 
+    def test_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
+        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        with pytest.raises(RuntimeError, match="time limit of 2.0 s reached with no feasible") as err:
+            solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
+        assert str(tmp_path / "instance.lp") in str(err.value)
+
+    def test_runner_exits_3_without_incumbent(self, tiny_instance, tmp_path, monkeypatch, capsys):
+        lp = tmp_path / "instance.lp"
+        lp.write_text(emit_exchange(tiny_instance))
+        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        code = highs_runner.main([str(lp), str(tmp_path / "out.sol"), "--time-limit", "2"])
+        assert code == 3
+        assert "time limit of 2.0 s reached with no feasible solution" in capsys.readouterr().err
+        assert (tmp_path / "out.sol").read_text() == "status unknown\n"
+
+    @pytest.mark.slow
+    def test_child_matches_in_process_bit_for_bit(self, tmp_path, monkeypatch):
+        for seed in [*range(6), 500]:
+            inst = random_instance(seed)
+            monkeypatch.delenv("REC_SOLVER_CMD", raising=False)
+            own = solve_external(inst, tmp_path / f"own{seed}")
+            monkeypatch.setenv("REC_SOLVER_CMD", CHILD_CMD)
+            child = solve_external(inst, tmp_path / f"child{seed}")
+            assert own.status == child.status == "optimal"
+            assert own.values.tobytes() == child.values.tobytes()
+            for name in ("instance.lp", "solution.sol"):
+                own_bytes = (tmp_path / f"own{seed}" / name).read_bytes()
+                assert own_bytes == (tmp_path / f"child{seed}" / name).read_bytes(), (seed, name)
+
+    @pytest.mark.slow
+    def test_child_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "import scipy.optimize\n"
+            "from types import SimpleNamespace\n"
+            "from recbid import highs_runner\n"
+            "scipy.optimize.milp = lambda *a, **k: SimpleNamespace(\n"
+            "    status=1, x=None, fun=None, message='Time limit reached.')\n"
+            "raise SystemExit(highs_runner.main(sys.argv[1:]))\n"
+        )
+        monkeypatch.setenv(
+            "REC_SOLVER_CMD", f"{sys.executable} {stub} {{lp}} {{sol}} --time-limit {{time_limit}}"
+        )
+        with pytest.raises(RuntimeError, match=r"failed \(3\)") as err:
+            solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
+        assert "time limit of 2.0 s reached with no feasible solution" in str(err.value)
+        assert str(tmp_path / "instance.lp") in str(err.value)
+
+    @pytest.mark.slow
+    def test_malformed_solution_line_names_file_and_line(self, tiny_instance, tmp_path, monkeypatch):
+        stub = tmp_path / "stub.py"
+        stub.write_text(
+            "import sys\n"
+            "open(sys.argv[2], 'w').write('status optimal\\ngap 0.0\\nsell_qty_k0 1.O\\n')\n"
+        )
+        monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} {stub} {{lp}} {{sol}}")
+        with pytest.raises(ValueError, match="line 3") as err:
+            solve_external(tiny_instance, tmp_path)
+        assert str(tmp_path / "solution.sol") in str(err.value)
+        assert "sell_qty_k0 1.O" in str(err.value)
+
+    @pytest.mark.slow
     def test_solver_cmd_override(self, tiny_instance, tmp_path, monkeypatch):
         stub = tmp_path / "stub.py"
         stub.write_text(
@@ -169,11 +248,13 @@ class TestExternalBackend:
         sol = solve_external(tiny_instance, tmp_path)
         assert sol.status == "infeasible"
 
+    @pytest.mark.slow
     def test_failing_command_raises(self, tiny_instance, tmp_path, monkeypatch):
         monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} -c raise {{lp}} {{sol}}")
         with pytest.raises(RuntimeError, match="solver command"):
             solve_external(tiny_instance, tmp_path)
 
+    @pytest.mark.slow
     def test_hung_child_is_killed_at_time_limit_plus_grace(
         self, tiny_instance, tmp_path, monkeypatch
     ):
