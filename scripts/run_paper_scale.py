@@ -3,8 +3,8 @@
 one simulated week, all four study cases.
 
 Runs on the bundled synthetic data by default. HiGHS solves each day's
-MILP in this process (about 43,000 variables, 58,000 rows and 7,700
-binaries at ten by ten scenarios), stopping at --time-limit per day and
+MILP in this process (about 46,000 variables, 56,000 rows, 169,000
+nonzeros and 7,700 binaries at ten by ten scenarios), stopping at --time-limit per day and
 case; the time a day takes to reach the default 1e-3 gap has not been
 measured. Pass a looser --gap to trade optimality margin for time.
 """

@@ -11,9 +11,10 @@ incentive) reuse the same data and seed.
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from tempfile import TemporaryDirectory
+from tempfile import mkdtemp
 
 import numpy as np
 
@@ -294,15 +295,19 @@ def run_week(spec: RunSpec, data: WeekData | None = None) -> WeekResult:
         data = load_week_data(spec.data_dir, spec.config.horizon_hours)
     result = WeekResult(spec=spec)
     soc = spec.config.soc_initial
-    with TemporaryDirectory(prefix="recbid_") as tmp:
-        base = Path(spec.out_dir) if spec.out_dir is not None else Path(tmp)
-        base.mkdir(parents=True, exist_ok=True)
-        for day in range(data.n_days):
-            day_result = run_day(spec, data, day, soc, base / f"day{day}")
-            result.days.append(day_result)
-            soc = day_result.soc_final
-        if spec.out_dir is not None:
-            write_week_outputs(result, base)
+    # Without out_dir the days run in a scratch directory. It is removed only
+    # once every day has succeeded, so a failed day's error names a file
+    # that still exists.
+    base = Path(spec.out_dir) if spec.out_dir is not None else Path(mkdtemp(prefix="recbid_"))
+    base.mkdir(parents=True, exist_ok=True)
+    for day in range(data.n_days):
+        day_result = run_day(spec, data, day, soc, base / f"day{day}")
+        result.days.append(day_result)
+        soc = day_result.soc_final
+    if spec.out_dir is not None:
+        write_week_outputs(result, base)
+    else:
+        shutil.rmtree(base)
     return result
 
 

@@ -161,11 +161,6 @@ class MilpInstance:
         )
         return A, list(self.row_senses), np.array(self.row_rhs)
 
-    def to_arrays(self):
-        """Dense (A, senses, b) of the rows, for array-based solvers."""
-        A, senses, b = self.sparse_rows()
-        return A.toarray(), senses, b
-
     def evaluate_objective(self, values: np.ndarray) -> float:
         total = self.objective_constant
         for vid, coef in self.objective.items():
@@ -337,6 +332,15 @@ def build_instance(
                 inst.add_var("dis", (k, s, l), f"dis_{suf}", CONTINUOUS, 0.0, pb)
                 inst.add_var("chg_on", (k, s, l), f"chg_on_{suf}", BINARY, 0.0, 1.0)
                 inst.add_var("shared", (k, s, l), f"shared_{suf}", CONTINUOUS, 0.0, pe)
+    if eb > 0:
+        for k in range(K):
+            if k == K - 1:
+                lo, hi = config.soc_final_min * eb, config.soc_final_max * eb
+            else:
+                lo, hi = 0.0, eb
+            for s in range(n_m):
+                for l in range(n_r):
+                    inst.add_var("soc", (k, s, l), f"soc_k{k}_s{s}_l{l}", CONTINUOUS, lo, hi)
 
     encode_bidding(inst, config)
     encode_acceptance(inst, prices)
@@ -604,7 +608,14 @@ def encode_relaxation_logic(inst: MilpInstance, config: RecConfig) -> None:
 
 
 def encode_storage(inst: MilpInstance, config: RecConfig, energies: ScenarioSet) -> None:
-    """Battery service coupling, charge exclusivity, state-of-charge windows."""
+    """Battery service coupling, charge exclusivity, state-of-charge recursion.
+
+    With a battery, each (k, s, l) has a ``soc`` variable in kWh whose bounds
+    carry the [0, capacity] window and, at the last hour, the terminal
+    window; one balance row per step ties it to the previous step:
+    soc_k - soc_{k-1} - eta_c chg_k + dis_k / eta_d = 0, with soc_{-1} the
+    initial state moved to the right-hand side.
+    """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     res = inst.data["res"]
     soc0 = inst.data["soc_initial"]
@@ -638,22 +649,15 @@ def encode_storage(inst: MilpInstance, config: RecConfig, energies: ScenarioSet)
         for s in range(n_m):
             for l in range(n_r):
                 for k in range(K):
-                    terms = []
-                    for t in range(k + 1):
-                        terms.append((inst.var("chg", t, s, l), eta_c))
-                        terms.append((inst.var("dis", t, s, l), -1.0 / eta_d))
-                    inst.add_row(f"soc_hi_k{k}_s{s}_l{l}", terms, "<=", (1.0 - soc0) * eb)
-                    inst.add_row(f"soc_lo_k{k}_s{s}_l{l}", terms, ">=", -soc0 * eb)
-                terms = []
-                for t in range(K):
-                    terms.append((inst.var("chg", t, s, l), eta_c))
-                    terms.append((inst.var("dis", t, s, l), -1.0 / eta_d))
-                inst.add_row(
-                    f"soc_end_hi_s{s}_l{l}", terms, "<=", (config.soc_final_max - soc0) * eb
-                )
-                inst.add_row(
-                    f"soc_end_lo_s{s}_l{l}", terms, ">=", (config.soc_final_min - soc0) * eb
-                )
+                    terms = [
+                        (inst.var("soc", k, s, l), 1.0),
+                        (inst.var("chg", k, s, l), -eta_c),
+                        (inst.var("dis", k, s, l), 1.0 / eta_d),
+                    ]
+                    if k > 0:
+                        terms.append((inst.var("soc", k - 1, s, l), -1.0))
+                    rhs = soc0 * eb if k == 0 else 0.0
+                    inst.add_row(f"soc_balance_k{k}_s{s}_l{l}", terms, "=", rhs)
     if config.renewable_only_charging:
         for k in range(K):
             for s in range(n_m):
@@ -882,22 +886,17 @@ def extract_program(inst: MilpInstance, solution: Solution) -> DayAheadProgram:
 
 
 def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
-    """State-of-charge trajectory per (price, energy) scenario, shape (n_m, n_r, K+1)."""
+    """State-of-charge trajectory per (price, energy) scenario, shape (n_m, n_r, K+1).
+
+    Entry 0 is the initial state; entry k + 1 is the solution's ``soc``
+    variable after hour k, as a fraction of the battery capacity.
+    """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
-    config: RecConfig = inst.data["config"]
-    eb = config.battery_capacity_kwh
-    soc0 = inst.data["soc_initial"]
-    paths = np.full((n_m, n_r, K + 1), soc0)
-    if eb <= 0:
-        return paths
-    for s in range(n_m):
-        for l in range(n_r):
-            soc = soc0
-            for k in range(K):
-                chg = values[inst.var("chg", k, s, l)]
-                dis = values[inst.var("dis", k, s, l)]
-                soc += (config.eta_charge * chg - dis / config.eta_discharge) / eb
-                paths[s, l, k + 1] = soc
+    eb = inst.data["config"].battery_capacity_kwh
+    paths = np.full((n_m, n_r, K + 1), inst.data["soc_initial"])
+    if eb > 0:
+        for (k, s, l), vid in inst.index["soc"].items():
+            paths[s, l, k + 1] = values[vid] / eb
     return paths
 
 

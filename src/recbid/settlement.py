@@ -8,8 +8,6 @@ the cash flow is settled with penalties on undelivered service.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,25 +233,6 @@ def settle(
         penalty_sell=dispatch.shortfall_sell * penalty_sell,
         penalty_buy_refund=dispatch.shortfall_buy * penalty_buy,
     )
-
-
-def report_to_csv(report: CashFlowReport) -> str:
-    """One row per hour plus a totals row."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["hour"] + _REPORT_COLUMNS)
-    net = report.net
-    for k in range(len(net)):
-        writer.writerow(
-            [k]
-            + [
-                repr(float(getattr(report, col)[k])) if col != "net" else repr(float(net[k]))
-                for col in _REPORT_COLUMNS
-            ]
-        )
-    totals = report.totals()
-    writer.writerow(["total"] + [repr(totals[col]) for col in _REPORT_COLUMNS])
-    return buf.getvalue()
 
 
 def report_to_dict(report: CashFlowReport) -> dict:

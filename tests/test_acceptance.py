@@ -159,7 +159,8 @@ class TestAcceptanceTruthTable:
             energies = energy_set([[20.0]], [[5.0]], [[10.0]])
             cfg = small_config(K=1, epsilon_max=0.0)
             inst = build_instance(cfg, prices, energies, known_prices([0.08], [0.25]))
-            A, senses, b = inst.to_arrays()
+            A, senses, b = inst.sparse_rows()
+            A = A.toarray()
             for side, chan in (("sell", sell), ("buy", buy)):
                 for j in range(nm):
                     lb = np.array(inst.lb)
@@ -197,7 +198,8 @@ class TestRelaxationLogic:
         energies = energy_set([[20.0]], [[5.0]], [[10.0]])
         cfg = small_config(K=1, epsilon_max=5.0)
         inst = build_instance(cfg, prices, energies, known_prices([0.08], [0.25]))
-        A, senses, b = inst.to_arrays()
+        A, senses, b = inst.sparse_rows()
+        A = A.toarray()
 
         def extremes(var, fixes):
             lb = np.array(inst.lb)
@@ -259,10 +261,21 @@ class TestSocInvariants:
             assert np.all(paths >= -1e-6) and np.all(paths <= 1 + 1e-6)
             assert np.all(paths[:, :, -1] >= 0.3 - 1e-6)
             assert np.all(paths[:, :, -1] <= 0.7 + 1e-6)
+            # The windows hold by variable bounds; the path itself must still
+            # be the charge/discharge recursion from the initial state.
+            eb = cfg.battery_capacity_kwh
+            for s in range(2):
+                for l in range(2):
+                    soc = cfg.soc_initial
+                    for k in range(3):
+                        chg = sol.values[inst.var("chg", k, s, l)]
+                        dis = sol.values[inst.var("dis", k, s, l)]
+                        soc += (cfg.eta_charge * chg - dis / cfg.eta_discharge) / eb
+                        assert paths[s, l, k + 1] == pytest.approx(soc, abs=1e-6)
             solved += 1
         assert solved >= 4
-        print(f"\nPASS: planned SOC paths within [0,1] and the 0.3..0.7 terminal window "
-              f"on {solved} instances")
+        print(f"\nPASS: planned SOC paths within [0,1] and the 0.3..0.7 terminal window, "
+              f"equal to the integrated charge/discharge, on {solved} instances")
 
     def test_realized_soc_contained_for_random_realizations(self):
         rng = np.random.default_rng(9)

@@ -1,5 +1,7 @@
 import json
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +57,19 @@ def tiny_spec(**overrides):
     base = dict(config=cfg, n_m=1, n_r=1, seed=3, backend="reference")
     base.update(overrides)
     return RunSpec(**base)
+
+
+def infeasible_week():
+    """A reference-backend spec whose terminal window no day can reach."""
+    cfg = small_config(
+        K=K,
+        battery_capacity_kwh=50.0,
+        battery_power_kwh_per_slot=5.0,
+        soc_initial=0.0,
+        soc_final_min=0.99,  # unreachable terminal window
+        soc_final_max=1.0,
+    )
+    return tiny_spec(config=cfg), flat_week(pv=(0.0, 0.0, 0.0))
 
 
 def week_to_csvs(data: WeekData, out: Path) -> None:
@@ -167,18 +182,9 @@ class TestRunDay:
         assert realized["net"] == pytest.approx(res.planner_objective + adj, abs=1e-6)
 
     def test_infeasible_day_mentions_instance_path(self, tmp_path):
-        cfg = small_config(
-            K=K,
-            battery_capacity_kwh=50.0,
-            battery_power_kwh_per_slot=5.0,
-            soc_initial=0.0,
-            soc_final_min=0.99,  # unreachable terminal window
-            soc_final_max=1.0,
-        )
-        data = flat_week(pv=(0.0, 0.0, 0.0))
-        spec = tiny_spec(config=cfg)
+        spec, data = infeasible_week()
         with pytest.raises(RuntimeError, match="instance.lp") as err:
-            run_day(spec, data, 0, cfg.soc_initial, tmp_path)
+            run_day(spec, data, 0, spec.config.soc_initial, tmp_path)
         assert "day 0, case base: solver returned infeasible" in str(err.value)
 
     @pytest.mark.slow
@@ -228,6 +234,18 @@ class TestRunWeek:
                 data.realized_prices[sl, 1],
             )
             assert again == d.accepted
+
+    def test_failed_day_keeps_scratch_instance(self, tmp_path, monkeypatch):
+        # Without out_dir the week runs in a scratch directory; a failed day
+        # must leave the instance its error names.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        spec, data = infeasible_week()
+        with pytest.raises(RuntimeError, match="solver returned infeasible") as err:
+            run_week(spec, data)
+        lp = Path(re.search(r"instance kept at (\S+)", str(err.value)).group(1))
+        assert lp.name == "instance.lp" and lp.exists()
+        run_week(tiny_spec(), flat_week())
+        assert list(tmp_path.glob("recbid_*")) == [lp.parent.parent]
 
     def test_outputs_written(self, tmp_path):
         data = flat_week(n_days=2)

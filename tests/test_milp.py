@@ -38,22 +38,25 @@ def expected_counts(K, nm, nr, battery=True, green=True):
     per (k,s,l): facility balance 1, export/import caps 2, exchange identity 1,
     service balance 1, shortfall caps 2, baseline balance 1, baseline caps 2,
     slack caps 4, battery service 1, charge caps 2, shared rows 2 (19 total),
-    plus 2 running SOC rows and 1 renewable cap when active;
-    plus 2 terminal SOC rows per (s,l) when the battery is real.
+    plus 1 SOC balance row and 1 renewable cap when active.
+    Variables: 6 per hour, 10 per (k,s), 17 per (k,s,l), plus 1 SOC
+    variable per (k,s,l) when the battery is real.
     """
     rows = 7 * K + 22 * K * nm + 19 * K * nm * nr
+    n_vars = 6 * K + 10 * K * nm + 17 * K * nm * nr
     if battery:
-        rows += 2 * K * nm * nr + 2 * nm * nr
+        rows += K * nm * nr
+        n_vars += K * nm * nr
     if green:
         rows += K * nm * nr
-    n_vars = 6 * K + 10 * K * nm + 17 * K * nm * nr
     n_bin = 2 * K + 2 * K * nm + 3 * K * nm * nr
     return rows, n_vars, n_bin
 
 
 def lp_extreme(inst, sym, idx, fixes=None, maximize=True):
     """Bound one variable over the LP relaxation with optional bound fixes."""
-    A, senses, b = inst.to_arrays()
+    A, senses, b = inst.sparse_rows()
+    A = A.toarray()
     lb = np.array(inst.lb)
     ub = np.array(inst.ub)
     for (fsym, fidx), (lo, hi) in (fixes or {}).items():
@@ -199,7 +202,8 @@ class TestForcingRows:
             ("shift_up", (0, 0, 0)): (0.0, 0.0),
             ("shift_dn", (0, 0, 0)): (0.0, 0.0),
         }
-        A, senses, b = tiny_instance.to_arrays()
+        A, senses, b = tiny_instance.sparse_rows()
+        A = A.toarray()
         lb = np.array(tiny_instance.lb)
         ub = np.array(tiny_instance.ub)
         for (sym, idx), (lo, hi) in fixes.items():
@@ -235,7 +239,8 @@ class TestForcingRows:
             ("sell_qty", (0,)): (10.0, 10.0),
             ("short_sell", (0, 0, 0)): (0.0, 0.0),
         }
-        A, senses, b = inst.to_arrays()
+        A, senses, b = inst.sparse_rows()
+        A = A.toarray()
         lb = np.array(inst.lb)
         ub = np.array(inst.ub)
         for (sym, idx), (lo_v, hi_v) in fixes.items():
@@ -297,6 +302,30 @@ class TestStorage:
         assert tiny_instance.ub[vid_c] == 0.0
         assert tiny_instance.ub[vid_d] == 0.0
         assert not any(name.startswith("soc_") for name, *_ in tiny_instance.rows)
+        assert "soc" not in tiny_instance.index
+
+    def test_soc_recursion_rows_are_local_and_windows_are_bounds(self):
+        K, nm, nr = 24, 2, 2
+        rng = np.random.default_rng(24)
+        cfg = small_config(K=K, soc_initial=0.4, soc_final_min=0.3, soc_final_max=0.7)
+        prices = price_set(rng.uniform(0.2, 0.4, (nm, K)), rng.uniform(0.1, 0.15, (nm, K)))
+        energies = energy_set(
+            rng.uniform(0, 30, (nr, K)), rng.uniform(1, 5, (nr, K)), rng.uniform(2, 20, (nr, K))
+        )
+        inst = build_instance(cfg, prices, energies, known_prices([0.08] * K, [0.25] * K))
+        eb = cfg.battery_capacity_kwh
+        soc_ids = set(inst.index["soc"].values())
+        storage_rows = [row for row in inst.rows if soc_ids & {vid for vid, _ in row[1]}]
+        assert len(storage_rows) == K * nm * nr
+        assert all(len(terms) <= 4 and sense == "=" for _, terms, sense, _ in storage_rows)
+        for s in range(nm):
+            for l in range(nr):
+                last = inst.var("soc", K - 1, s, l)
+                assert (inst.lb[last], inst.ub[last]) == (0.3 * eb, 0.7 * eb)
+                mid = inst.var("soc", K // 2, s, l)
+                assert (inst.lb[mid], inst.ub[mid]) == (0.0, eb)
+                first = inst.rows[inst.row_names.index(f"soc_balance_k0_s{s}_l{l}")]
+                assert len(first[1]) == 3 and first[3] == 0.4 * eb
 
 
 class TestObjectiveAndExtraction:

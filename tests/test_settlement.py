@@ -9,7 +9,6 @@ from recbid.settlement import (
     CashFlowReport,
     decide_acceptance,
     realtime_dispatch,
-    report_to_csv,
     report_to_dict,
     settle,
 )
@@ -194,13 +193,8 @@ class TestSettle:
             totals = report.totals()
             assert totals["net"] == pytest.approx(float(expected.sum()))
 
-    def test_csv_and_dict_outputs(self):
+    def test_dict_outputs(self):
         report = CashFlowReport(*[np.arange(2, dtype=float) for _ in range(7)])
-        text = report_to_csv(report)
-        lines = text.strip().splitlines()
-        assert lines[0].startswith("hour,")
-        assert len(lines) == 4  # header + 2 hours + totals
-        assert lines[-1].startswith("total,")
         d = report_to_dict(report)
         assert set(d) == {"hourly", "totals"}
         assert len(d["hourly"]["net"]) == 2
