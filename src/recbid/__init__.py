@@ -27,7 +27,7 @@ from .scenarios import (
     sample_scenarios,
 )
 from .settlement import CashFlowReport, decide_acceptance, realtime_dispatch, settle
-from .solver import emit_exchange, parse_solution, reference_solve
+from .solver import emit_exchange, reference_solve
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "fit_dmc",
     "load_config_json",
     "load_week_data",
-    "parse_solution",
     "realtime_dispatch",
     "reduce_scenarios",
     "reference_solve",

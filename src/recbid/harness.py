@@ -11,7 +11,6 @@ incentive) reuse the same data and seed.
 from __future__ import annotations
 
 import json
-import shutil
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import mkdtemp
@@ -69,6 +68,9 @@ class RunSpec:
             raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
         if self.rel_gap < 0:
             raise ValueError(f"rel_gap must be >= 0, got {self.rel_gap}")
+        for name in ("n_m", "n_r"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 def apply_case(config: RecConfig, case: str) -> tuple[RecConfig, bool]:
@@ -177,6 +179,11 @@ def build_day_scenarios(spec: RunSpec, data: WeekData, day: int):
 def day_inputs(spec: RunSpec, data: WeekData, day: int):
     """What the day's program is built from: the case's config and bid
     switch, the day's price and energy scenarios, and its known tariffs."""
+    if not 0 <= day < data.n_days:
+        raise ValueError(
+            f"day {day}, case {spec.case}: no such day; the data has "
+            f"{data.n_days} realized days, numbered from 0"
+        )
     prices, energies = build_day_scenarios(spec, data, day)
     config, allow_bids = apply_case(spec.config, spec.case)
     K = data.horizon
@@ -193,39 +200,44 @@ def run_day(
     data: WeekData,
     day: int,
     soc_initial: float,
-    workdir: str | Path,
+    workdir: str | Path | None,
 ) -> DayResult:
     """Plan, dispatch and settle one day; returns the realized terminal SOC.
 
     This is the one solve entry point: ``spec.backend`` picks HiGHS (the
-    external route) or the in-package reference oracle. Solver errors are
-    re-raised naming the day and the case.
+    external route) or the in-package reference oracle. With a ``workdir``,
+    the day's ``instance.lp`` (and, from HiGHS, ``solution.sol``) is
+    written there. A failed solve is re-raised naming the day, the case and
+    an ``instance.lp`` that exists: the workdir's, or one written to a fresh
+    scratch directory when there is no workdir.
     """
     K = spec.config.horizon_hours
     if K != data.horizon:
         raise ValueError(f"config horizon {K} differs from data horizon {data.horizon}")
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
     config, allow_bids, prices, energies, known = day_inputs(spec, data, day)
     inst = build_instance(
         config, prices, energies, known, soc_initial=soc_initial, allow_bids=allow_bids
     )
-    lp_path = workdir / "instance.lp"
+    workdir = None if workdir is None else Path(workdir)
     try:
         if spec.backend == "reference":
-            lp_path.write_text(emit_exchange(inst))
+            if workdir is not None:
+                workdir.mkdir(parents=True, exist_ok=True)
+                (workdir / "instance.lp").write_text(emit_exchange(inst))
             solution = reference_solve(inst)
         else:
             solution = solve_external(
                 inst, workdir, time_limit_s=spec.time_limit_s, rel_gap=spec.rel_gap
             )
+        if solution.status not in ("optimal", "gap_limit"):
+            raise RuntimeError(f"solver returned {solution.status}")
     except (RuntimeError, ValueError, OSError) as exc:
-        raise RuntimeError(f"day {day}, case {spec.case}: {exc}") from exc
-    if solution.status not in ("optimal", "gap_limit"):
+        if workdir is None:
+            workdir = Path(mkdtemp(prefix="recbid_"))
+            (workdir / "instance.lp").write_text(emit_exchange(inst))
         raise RuntimeError(
-            f"day {day}, case {spec.case}: solver returned {solution.status}; "
-            f"instance kept at {lp_path}"
-        )
+            f"day {day}, case {spec.case}: {exc}; instance kept at {workdir / 'instance.lp'}"
+        ) from exc
     program = extract_program(inst, solution)
     soc_planned = planned_soc_paths(inst, solution.values)
     expected = expected_cashflow(inst, solution.values)
@@ -288,26 +300,23 @@ class WeekResult:
 
 def run_week(spec: RunSpec, data: WeekData | None = None) -> WeekResult:
     """Chain run_day over every realized day, seeding each day's initial
-    state of charge with the previous day's realized terminal value."""
+    state of charge with the previous day's realized terminal value.
+
+    Exchange files are written under ``spec.out_dir`` only; without it a
+    successful week leaves no files behind."""
     if data is None:
         if spec.data_dir is None:
             raise ValueError("run_week needs either in-memory data or a data_dir")
         data = load_week_data(spec.data_dir, spec.config.horizon_hours)
     result = WeekResult(spec=spec)
     soc = spec.config.soc_initial
-    # Without out_dir the days run in a scratch directory. It is removed only
-    # once every day has succeeded, so a failed day's error names a file
-    # that still exists.
-    base = Path(spec.out_dir) if spec.out_dir is not None else Path(mkdtemp(prefix="recbid_"))
-    base.mkdir(parents=True, exist_ok=True)
+    base = None if spec.out_dir is None else Path(spec.out_dir)
     for day in range(data.n_days):
-        day_result = run_day(spec, data, day, soc, base / f"day{day}")
+        day_result = run_day(spec, data, day, soc, None if base is None else base / f"day{day}")
         result.days.append(day_result)
         soc = day_result.soc_final
-    if spec.out_dir is not None:
+    if base is not None:
         write_week_outputs(result, base)
-    else:
-        shutil.rmtree(base)
     return result
 
 

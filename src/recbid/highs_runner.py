@@ -1,27 +1,16 @@
-"""HiGHS as a solver program driven by LP files.
+"""HiGHS on a parsed LP file.
 
-``solve_external`` runs HiGHS in its own process by default. This module
-is the same solver behind the exchange-file contract, for use as a
-``REC_SOLVER_CMD`` child::
-
-    REC_SOLVER_CMD="{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}"
-
-Any other solver wrapper with the same contract can take its place. The
-solution file carries a status line, the reported objective and gap, then
-one ``name value`` pair per variable. A time limit reached with no
-feasible solution, or any other result without a solution, exits with
-code 3.
+``solve_parsed`` solves the arrays ``parse_lp`` decodes from LP text, such
+as an exported ``instance.lp``, with the same ``highs_solve`` call that
+``solve_external`` makes on an instance's own arrays.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-
 import numpy as np
 from scipy import sparse
 
-from .solver import ParsedLp, highs_solve, parse_lp, write_highs_solution
+from .solver import ParsedLp, highs_solve
 
 
 def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
@@ -55,26 +44,3 @@ def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(len(parsed.rows), n))
     return highs_solve(c, mat, np.array(clo), np.array(chi), lb, ub, integrality, time_limit, gap)
 
-
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("lp_file")
-    ap.add_argument("sol_file")
-    ap.add_argument("--time-limit", type=float, default=300.0)
-    ap.add_argument("--gap", type=float, default=1e-6)
-    args = ap.parse_args(argv)
-
-    with open(args.lp_file) as fh:
-        parsed = parse_lp(fh.read())
-    res = solve_parsed(parsed, args.time_limit, args.gap)
-    problem = write_highs_solution(
-        args.sol_file, res, parsed.names, parsed.maximize, args.time_limit
-    )
-    if problem is not None:
-        print(problem, file=sys.stderr)
-        return 3
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,12 +1,9 @@
-"""Solving MilpInstances: exchange files, HiGHS, exact oracle.
+"""Solving MilpInstances: LP export, HiGHS, exact oracle.
 
-Two routes exist on purpose. The external route writes the instance in LP
-format and solves it with HiGHS (through ``scipy.optimize.milp``), by
-default in this process from the instance's own sparse rows. Setting
-``REC_SOLVER_CMD`` swaps in any solver program instead: it runs as a child
-that reads the LP file and writes a solution file, for example
-``{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}``.
-The reference route is a self-contained exact search: branch-and-bound
+``solve_external`` solves an instance with HiGHS (through
+``scipy.optimize.milp``) in this process, from the instance's own sparse
+rows; LP text is only an export, for inspection or for other solvers.
+``reference_solve`` is a self-contained exact search: branch-and-bound
 over the binary variables with bound propagation and LP-relaxation
 pruning, each relaxation solved by the in-package simplex. Open nodes are
 explored best-bound first; that order is a heuristic that finds good
@@ -17,11 +14,7 @@ to cross-check HiGHS on desk-scale instances.
 from __future__ import annotations
 
 import heapq
-import os
 import re
-import shlex
-import subprocess
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,12 +22,6 @@ import numpy as np
 
 from .milp import MilpInstance, Solution
 from .simplex import solve_lp
-
-SOLVER_CMD_ENV = "REC_SOLVER_CMD"
-
-# Wall time the solver child gets beyond its own time limit: interpreter
-# start-up, reading the LP file and writing the solution file.
-SOLVER_GRACE_S = 60.0
 
 BND_TOL = 1e-9
 
@@ -212,59 +199,15 @@ def parse_lp(text: str) -> ParsedLp:
     return ParsedLp(maximize, order, objective, rows, lb, ub, binaries)
 
 
-def parse_solution(text: str, inst: MilpInstance) -> Solution:
-    """Decode a solver's solution file against an instance.
-
-    The file starts with ``status <word>`` and, for solved instances, one
-    ``<variable> <value>`` line per variable. The objective is re-evaluated
-    from the parsed values, never trusted from the file.
-    """
-    status = None
-    gap = 0.0
-    values: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, rest = line.partition(" ")
-        try:
-            if key == "status":
-                status = rest.strip()
-            elif key == "objective":
-                continue
-            elif key == "gap":
-                gap = float(rest)
-            else:
-                values[key] = float(rest)
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed solution line {raw!r}") from None
-    if status is None:
-        raise ValueError("solution file has no status line")
-    if status not in ("optimal", "infeasible", "unbounded", "gap_limit"):
-        raise ValueError(f"unknown solver status {status!r}")
-    if status in ("infeasible", "unbounded"):
-        return Solution(status=status, objective_value=None, values=None, mip_gap=gap)
-    vec = np.empty(inst.n_vars)
-    for i, name in enumerate(inst.names):
-        if name not in values:
-            raise ValueError(f"solution file is missing variable {name!r}")
-        vec[i] = values[name]
-    return Solution(
-        status=status,
-        objective_value=inst.evaluate_objective(vec),
-        values=vec,
-        mip_gap=gap,
-    )
-
-
 _HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
 
 
 def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, gap: float):
     """Minimize ``c @ x`` subject to ``row_lo <= A @ x <= row_hi`` with HiGHS.
 
-    The package's one ``scipy.optimize.milp`` call, shared by the in-process
-    route and the ``recbid.highs_runner`` child.
+    The package's one ``scipy.optimize.milp`` call. ``solve_external`` passes
+    an instance's own arrays, ``highs_runner.solve_parsed`` the arrays of a
+    parsed LP file.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -277,39 +220,12 @@ def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, ga
     )
 
 
-def write_highs_solution(path, res, names, maximize: bool, time_limit: float) -> str | None:
-    """Write a ``highs_solve`` result as a solution file.
-
-    Returns None, or why the result has no solution to report; the file
-    then says ``status unknown``.
-    """
-    status = _HIGHS_STATUS.get(res.status, "unknown")
-    if status == "gap_limit" and res.x is None:
-        status = "unknown"
-    lines = [f"status {status}"]
-    if res.x is not None:
-        obj = float(res.fun) if res.fun is not None else 0.0
-        if maximize:
-            obj = -obj
-        lines.append(f"objective {obj!r}")
-        gap = getattr(res, "mip_gap", 0.0) or 0.0
-        lines.append(f"gap {gap!r}")
-        for name, val in zip(names, res.x):
-            lines.append(f"{name} {float(val)!r}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    if status != "unknown":
-        return None
-    if res.status == 1:
-        return f"time limit of {time_limit} s reached with no feasible solution"
-    return f"HiGHS finished with unmapped status {res.status}: {res.message}"
-
-
 def _highs_arrays(inst: MilpInstance):
     """``highs_solve`` inputs of an instance, maximizing its objective.
 
-    Bit for bit what a child reads back from the instance's LP text, which
-    writes -0.0 as 0.0 and caps binaries at 1.
+    Bit for bit what ``highs_runner.solve_parsed`` decodes from the
+    instance's LP text, which writes -0.0 as 0.0 and caps binaries at 1; the
+    LP export round-trip test relies on it.
     """
     A, senses, b = inst.sparse_rows()
     b += 0.0
@@ -328,53 +244,49 @@ def _highs_arrays(inst: MilpInstance):
 
 def solve_external(
     inst: MilpInstance,
-    workdir: str | Path,
+    workdir: str | Path | None,
     time_limit_s: float = 300.0,
     rel_gap: float = 1e-6,
 ) -> Solution:
-    """Write instance.lp, solve it, and write and read back solution.sol.
+    """Solve an instance with HiGHS in this process.
 
-    HiGHS runs in this process. When ``REC_SOLVER_CMD`` is set, the command
-    it names solves instance.lp in a child instead; ``{python}``, ``{lp}``,
-    ``{sol}``, ``{time_limit}`` and ``{gap}`` in it are filled in.
+    The objective is re-evaluated from the returned values. With a
+    ``workdir``, the instance is also exported there as ``instance.lp`` and
+    the result as ``solution.sol``: a ``status`` line, the objective and gap
+    HiGHS reported, then one ``name value`` line per variable in ``repr``
+    floats, so the file holds the returned values bit for bit. A result with
+    no solution to report, such as a time limit reached before any feasible
+    point, raises RuntimeError.
     """
-    workdir = Path(workdir)
-    workdir.mkdir(parents=True, exist_ok=True)
-    lp_path = workdir / "instance.lp"
-    sol_path = workdir / "solution.sol"
-    lp_path.write_text(emit_exchange(inst))
-    template = os.environ.get(SOLVER_CMD_ENV)
-    if not template:
-        res = highs_solve(*_highs_arrays(inst), time_limit_s, rel_gap)
-        problem = write_highs_solution(sol_path, res, inst.names, True, time_limit_s)
-        if problem is not None:
-            raise RuntimeError(f"{problem}; instance kept at {lp_path}")
-        return _read_solution(sol_path, inst)
-    cmd = template.replace("{python}", sys.executable).format(
-        lp=str(lp_path), sol=str(sol_path), time_limit=time_limit_s, gap=rel_gap
+    if workdir is not None:
+        workdir = Path(workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
+        (workdir / "instance.lp").write_text(emit_exchange(inst))
+    res = highs_solve(*_highs_arrays(inst), time_limit_s, rel_gap)
+    status = _HIGHS_STATUS.get(res.status, "unknown")
+    if status == "gap_limit" and res.x is None:
+        status = "unknown"
+    gap = getattr(res, "mip_gap", 0.0) or 0.0
+    if workdir is not None:
+        lines = [f"status {status}"]
+        if res.x is not None:
+            lines.append(f"objective {-float(res.fun)!r}")
+            lines.append(f"gap {gap!r}")
+            lines.extend(f"{name} {float(val)!r}" for name, val in zip(inst.names, res.x))
+        (workdir / "solution.sol").write_text("\n".join(lines) + "\n")
+    if status == "unknown":
+        if res.status == 1:
+            raise RuntimeError(f"time limit of {time_limit_s} s reached with no feasible solution")
+        raise RuntimeError(f"HiGHS finished with unmapped status {res.status}: {res.message}")
+    if status in ("infeasible", "unbounded"):
+        return Solution(status=status, objective_value=None, values=None)
+    values = np.array(res.x, dtype=float)
+    return Solution(
+        status=status,
+        objective_value=inst.evaluate_objective(values),
+        values=values,
+        mip_gap=gap,
     )
-    timeout = time_limit_s + SOLVER_GRACE_S
-    try:
-        proc = subprocess.run(shlex.split(cmd), capture_output=True, text=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        raise RuntimeError(
-            f"solver command timed out after {timeout} s: {cmd}; instance kept at {lp_path}"
-        ) from None
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"solver command failed ({proc.returncode}): {cmd}; instance kept at {lp_path}\n"
-            f"{proc.stderr[-2000:]}"
-        )
-    if not sol_path.exists():
-        raise RuntimeError(f"solver command produced no solution file: {cmd}")
-    return _read_solution(sol_path, inst)
-
-
-def _read_solution(sol_path: Path, inst: MilpInstance) -> Solution:
-    try:
-        return parse_solution(sol_path.read_text(), inst)
-    except ValueError as exc:
-        raise ValueError(f"{sol_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from recbid.cli import main as cli_main
 from recbid.core import RecConfig
@@ -22,6 +22,7 @@ from recbid.harness import (
 from recbid.settlement import decide_acceptance
 
 from conftest import small_config
+from test_solver import no_incumbent_milp
 
 K = 3  # short days keep the reference oracle within its binary budget
 
@@ -110,9 +111,13 @@ class TestRunSpec:
             RunSpec(config=small_config(), rel_gap=-1.0)
         with pytest.raises(ValueError, match="backend"):
             RunSpec(config=small_config(), backend="quantum")
+        with pytest.raises(ValueError, match="n_m must be >= 1, got 0"):
+            RunSpec(config=small_config(), n_m=0)
+        with pytest.raises(ValueError, match="n_r must be >= 1, got -1"):
+            RunSpec(config=small_config(), n_r=-1)
 
     def test_cli_refuses_bad_settings_before_solving(self, tmp_path):
-        for flag, value in (("--time-limit", "0"), ("--gap", "-1")):
+        for flag, value in (("--time-limit", "0"), ("--gap", "-1"), ("--nm", "0")):
             with pytest.raises(SystemExit, match="invalid run settings"):
                 cli_main([
                     "plan", "--data-dir", str(tmp_path / "missing"),
@@ -187,13 +192,24 @@ class TestRunDay:
             run_day(spec, data, 0, spec.config.soc_initial, tmp_path)
         assert "day 0, case base: solver returned infeasible" in str(err.value)
 
-    @pytest.mark.slow
     def test_solver_error_names_day_and_case(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} -c raise {{lp}} {{sol}}")
+        # Without a workdir the failed day's instance goes to a scratch
+        # directory, which the error names.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
         spec = tiny_spec(backend="external", case="no_msd")
-        with pytest.raises(RuntimeError, match=r"^day 1, case no_msd: solver command failed") as err:
-            run_day(spec, flat_week(), 1, spec.config.soc_initial, tmp_path)
+        with pytest.raises(RuntimeError, match=r"^day 1, case no_msd: time limit of") as err:
+            run_day(spec, flat_week(), 1, spec.config.soc_initial, None)
         assert isinstance(err.value.__cause__, RuntimeError)
+        lp = Path(re.search(r"instance kept at (\S+)$", str(err.value)).group(1))
+        assert lp.name == "instance.lp" and lp.exists()
+        assert list(tmp_path.iterdir()) == [lp.parent]
+
+    def test_day_outside_realized_days_refused(self):
+        spec = tiny_spec(case="no_msd")
+        for day in (2, -1):
+            with pytest.raises(ValueError, match=f"^day {day}, case no_msd: .* 2 realized days"):
+                run_day(spec, flat_week(n_days=2), day, spec.config.soc_initial, None)
 
 
 class TestRunWeek:
@@ -236,16 +252,18 @@ class TestRunWeek:
             assert again == d.accepted
 
     def test_failed_day_keeps_scratch_instance(self, tmp_path, monkeypatch):
-        # Without out_dir the week runs in a scratch directory; a failed day
-        # must leave the instance its error names.
+        # Without out_dir a successful week writes no files; a failed day
+        # leaves the instance its error names in a scratch directory.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        for backend in ("reference", "external"):
+            run_week(tiny_spec(backend=backend), flat_week())
+        assert list(tmp_path.iterdir()) == []
         spec, data = infeasible_week()
         with pytest.raises(RuntimeError, match="solver returned infeasible") as err:
             run_week(spec, data)
         lp = Path(re.search(r"instance kept at (\S+)", str(err.value)).group(1))
         assert lp.name == "instance.lp" and lp.exists()
-        run_week(tiny_spec(), flat_week())
-        assert list(tmp_path.glob("recbid_*")) == [lp.parent.parent]
+        assert list(tmp_path.iterdir()) == [lp.parent]
 
     def test_outputs_written(self, tmp_path):
         data = flat_week(n_days=2)

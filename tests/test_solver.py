@@ -1,8 +1,7 @@
-import sys
-import time
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 import scipy.optimize
 
@@ -12,7 +11,6 @@ from recbid.milp import CONTINUOUS, MilpInstance, check_solution
 from recbid.solver import (
     emit_exchange,
     parse_lp,
-    parse_solution,
     reference_solve,
     solve_external,
 )
@@ -27,6 +25,13 @@ def single_var_instance():
     vid = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 5.0)
     inst.add_row("cap_0", [(vid, 3.0)], "<=", 6.0)
     inst.objective[vid] = 2.0
+    return inst
+
+
+def infeasible_instance():
+    inst = MilpInstance()
+    vid = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 1.0)
+    inst.add_row("r0", [(vid, 1.0)], ">=", 2.0)
     return inst
 
 
@@ -79,39 +84,6 @@ class TestParseLp:
         assert parsed.rows[0][1] == {"x": 1.0, "y": -1.0}
 
 
-class TestParseSolution:
-    def test_infeasible_status(self, tiny_instance):
-        sol = parse_solution("status infeasible\n", tiny_instance)
-        assert sol.status == "infeasible"
-        assert sol.values is None and sol.objective_value is None
-
-    def test_all_zero_assignment_gives_objective_constant(self):
-        inst = single_var_instance()
-        inst.objective_constant = 2.5
-        text = "status optimal\nobjective 0.0\nx_0 0.0\n"
-        sol = parse_solution(text, inst)
-        assert sol.objective_value == pytest.approx(2.5)
-
-    def test_missing_variable_named(self, tiny_instance):
-        with pytest.raises(ValueError, match="sell_qty_k0"):
-            parse_solution("status optimal\n", tiny_instance)
-
-    def test_unknown_status_rejected(self, tiny_instance):
-        with pytest.raises(ValueError, match="exploded"):
-            parse_solution("status exploded\n", tiny_instance)
-
-    def test_objective_recomputed_not_trusted(self):
-        inst = single_var_instance()
-        text = "status optimal\nobjective 999.0\nx_0 2.0\n"
-        sol = parse_solution(text, inst)
-        assert sol.objective_value == pytest.approx(4.0)
-
-    def test_malformed_value_names_line(self):
-        for text, lineno in (("status optimal\nx_0 two\n", 2), ("status optimal\n\ngap\n", 3)):
-            with pytest.raises(ValueError, match=f"line {lineno}: malformed"):
-                parse_solution(text, single_var_instance())
-
-
 class TestReferenceSolve:
     def test_pure_lp_when_no_binaries(self):
         sol = reference_solve(single_var_instance())
@@ -139,10 +111,7 @@ class TestReferenceSolve:
         assert len(calls) <= 1000, f"{len(calls)} LP relaxations"
 
     def test_infeasible_instance(self):
-        inst = MilpInstance()
-        vid = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 1.0)
-        inst.add_row("r0", [(vid, 1.0)], ">=", 2.0)
-        sol = reference_solve(inst)
+        sol = reference_solve(infeasible_instance())
         assert sol.status == "infeasible"
 
 
@@ -150,9 +119,6 @@ def no_incumbent_milp(*args, **kwargs):
     """What scipy.optimize.milp returns when HiGHS stops at its time limit
     before finding any feasible point."""
     return SimpleNamespace(status=1, x=None, fun=None, message="Time limit reached.")
-
-
-CHILD_CMD = "{python} -m recbid.highs_runner {lp} {sol} --time-limit {time_limit} --gap {gap}"
 
 
 class TestExternalBackend:
@@ -175,95 +141,37 @@ class TestExternalBackend:
 
     def test_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
-        with pytest.raises(RuntimeError, match="time limit of 2.0 s reached with no feasible") as err:
+        with pytest.raises(RuntimeError, match="^time limit of 2.0 s reached with no feasible"):
             solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
-        assert str(tmp_path / "instance.lp") in str(err.value)
+        assert (tmp_path / "instance.lp").read_text() == emit_exchange(tiny_instance)
+        assert (tmp_path / "solution.sol").read_text() == "status unknown\n"
 
-    def test_runner_exits_3_without_incumbent(self, tiny_instance, tmp_path, monkeypatch, capsys):
-        lp = tmp_path / "instance.lp"
-        lp.write_text(emit_exchange(tiny_instance))
-        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
-        code = highs_runner.main([str(lp), str(tmp_path / "out.sol"), "--time-limit", "2"])
-        assert code == 3
-        assert "time limit of 2.0 s reached with no feasible solution" in capsys.readouterr().err
-        assert (tmp_path / "out.sol").read_text() == "status unknown\n"
+    def test_infeasible_and_unmapped_statuses(self, tmp_path, monkeypatch):
+        sol = solve_external(infeasible_instance(), tmp_path)
+        assert (sol.status, sol.objective_value, sol.values) == ("infeasible", None, None)
+        assert (tmp_path / "solution.sol").read_text() == "status infeasible\n"
+        monkeypatch.setattr(
+            scipy.optimize, "milp", lambda *a, **k: SimpleNamespace(status=4, x=None, message="odd")
+        )
+        with pytest.raises(RuntimeError, match="^HiGHS finished with unmapped status 4: odd$"):
+            solve_external(infeasible_instance(), None)
 
-    @pytest.mark.slow
-    def test_child_matches_in_process_bit_for_bit(self, tmp_path, monkeypatch):
+    def test_solution_file_holds_returned_values_bit_for_bit(self, tmp_path):
+        for seed in (0, 500):
+            inst = random_instance(seed)
+            sol = solve_external(inst, tmp_path / f"s{seed}")
+            lines = (tmp_path / f"s{seed}" / "solution.sol").read_text().splitlines()
+            assert lines[0] == "status optimal"
+            assert [line.split()[0] for line in lines[:3]] == ["status", "objective", "gap"]
+            assert lines[3:] == [f"{name} {float(v)!r}" for name, v in zip(inst.names, sol.values)]
+            from_file = [float(line.split()[1]) for line in lines[3:]]
+            assert np.array(from_file).tobytes() == sol.values.tobytes()
+            assert sol.objective_value == inst.evaluate_objective(sol.values)
+
+    def test_lp_export_round_trip_matches_in_process_bit_for_bit(self):
         for seed in [*range(6), 500]:
             inst = random_instance(seed)
-            monkeypatch.delenv("REC_SOLVER_CMD", raising=False)
-            own = solve_external(inst, tmp_path / f"own{seed}")
-            monkeypatch.setenv("REC_SOLVER_CMD", CHILD_CMD)
-            child = solve_external(inst, tmp_path / f"child{seed}")
-            assert own.status == child.status == "optimal"
-            assert own.values.tobytes() == child.values.tobytes()
-            for name in ("instance.lp", "solution.sol"):
-                own_bytes = (tmp_path / f"own{seed}" / name).read_bytes()
-                assert own_bytes == (tmp_path / f"child{seed}" / name).read_bytes(), (seed, name)
-
-    @pytest.mark.slow
-    def test_child_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "import scipy.optimize\n"
-            "from types import SimpleNamespace\n"
-            "from recbid import highs_runner\n"
-            "scipy.optimize.milp = lambda *a, **k: SimpleNamespace(\n"
-            "    status=1, x=None, fun=None, message='Time limit reached.')\n"
-            "raise SystemExit(highs_runner.main(sys.argv[1:]))\n"
-        )
-        monkeypatch.setenv(
-            "REC_SOLVER_CMD", f"{sys.executable} {stub} {{lp}} {{sol}} --time-limit {{time_limit}}"
-        )
-        with pytest.raises(RuntimeError, match=r"failed \(3\)") as err:
-            solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
-        assert "time limit of 2.0 s reached with no feasible solution" in str(err.value)
-        assert str(tmp_path / "instance.lp") in str(err.value)
-
-    @pytest.mark.slow
-    def test_malformed_solution_line_names_file_and_line(self, tiny_instance, tmp_path, monkeypatch):
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "open(sys.argv[2], 'w').write('status optimal\\ngap 0.0\\nsell_qty_k0 1.O\\n')\n"
-        )
-        monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} {stub} {{lp}} {{sol}}")
-        with pytest.raises(ValueError, match="line 3") as err:
-            solve_external(tiny_instance, tmp_path)
-        assert str(tmp_path / "solution.sol") in str(err.value)
-        assert "sell_qty_k0 1.O" in str(err.value)
-
-    @pytest.mark.slow
-    def test_solver_cmd_override(self, tiny_instance, tmp_path, monkeypatch):
-        stub = tmp_path / "stub.py"
-        stub.write_text(
-            "import sys\n"
-            "open(sys.argv[2], 'w').write('status infeasible\\n')\n"
-        )
-        monkeypatch.setenv(
-            "REC_SOLVER_CMD", f"{sys.executable} {stub} {{lp}} {{sol}}"
-        )
-        sol = solve_external(tiny_instance, tmp_path)
-        assert sol.status == "infeasible"
-
-    @pytest.mark.slow
-    def test_failing_command_raises(self, tiny_instance, tmp_path, monkeypatch):
-        monkeypatch.setenv("REC_SOLVER_CMD", f"{sys.executable} -c raise {{lp}} {{sol}}")
-        with pytest.raises(RuntimeError, match="solver command"):
-            solve_external(tiny_instance, tmp_path)
-
-    @pytest.mark.slow
-    def test_hung_child_is_killed_at_time_limit_plus_grace(
-        self, tiny_instance, tmp_path, monkeypatch
-    ):
-        monkeypatch.setattr(solver_mod, "SOLVER_GRACE_S", 1.0)
-        monkeypatch.setenv(
-            "REC_SOLVER_CMD", f"{sys.executable} -c 'import time; time.sleep(60)' {{lp}} {{sol}}"
-        )
-        start = time.perf_counter()
-        with pytest.raises(RuntimeError, match="timed out") as err:
-            solve_external(tiny_instance, tmp_path, time_limit_s=1.0)
-        assert time.perf_counter() - start < 30.0
-        assert str(tmp_path / "instance.lp") in str(err.value)
+            own = solve_external(inst, None)
+            res = highs_runner.solve_parsed(parse_lp(emit_exchange(inst)), 300.0, 1e-6)
+            assert own.status == "optimal" and res.status == 0, seed
+            assert own.values.tobytes() == res.x.tobytes(), seed
