@@ -75,11 +75,17 @@ def main(argv=None) -> int:
 
     args = ap.parse_args(argv)
     spec = _spec(args)
+    if args.command in ("plan", "emit"):
+        data = load_week_data(spec.data_dir, spec.config.horizon_hours)
+        if not 0 <= args.day < data.n_days:
+            raise SystemExit(
+                f"invalid run settings: day {args.day}: the data has "
+                f"{data.n_days} realized days, numbered from 0"
+            )
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     if args.command == "plan":
-        data = load_week_data(spec.data_dir, spec.config.horizon_hours)
         result = run_day(spec, data, args.day, spec.config.soc_initial, out / f"day{args.day}")
         payload = {
             "day": result.day,
@@ -118,7 +124,6 @@ def main(argv=None) -> int:
                 f"{dm if dm is not None else float('nan'):>13.1f}"
             )
     elif args.command == "emit":
-        data = load_week_data(spec.data_dir, spec.config.horizon_hours)
         config, allow_bids, prices, energies, known = day_inputs(spec, data, args.day)
         inst = build_instance(
             config,

@@ -50,11 +50,13 @@ class DmcModel:
             state = state * n + b
         return state
 
-    def decode_state(self, state: int) -> tuple[int, ...]:
+    def decode_state(self, state):
+        """Per-channel bin indices of a joint state, or of an int array of
+        states (one index array per channel); the input is not modified."""
         bins = []
         for n in self.n_bins:
             bins.append(state % n)
-            state //= n
+            state = state // n
         return tuple(bins)
 
     def bin_values(self, values) -> tuple[int, ...]:
@@ -64,9 +66,11 @@ class DmcModel:
             for edges, v in zip(self.bin_edges, np.asarray(values, dtype=float))
         )
 
-    def state_values(self, state: int) -> np.ndarray:
+    def state_values(self, state) -> np.ndarray:
+        """Representative (pv, load, member_demand) of a state, shape (3,),
+        or of an int array of states, shape ``state.shape + (3,)``."""
         bins = self.decode_state(state)
-        return np.array([rep[b] for rep, b in zip(self.representatives, bins)])
+        return np.stack([rep[b] for rep, b in zip(self.representatives, bins)], axis=-1)
 
     def row(self, hour: int, state: int) -> tuple[np.ndarray, np.ndarray]:
         """Transition probabilities out of (hour, state), with fallback."""
@@ -164,26 +168,35 @@ def sample_scenarios(
     """Sample ``count`` equally likely day trajectories from the chain.
 
     The initial state sits at ``initial_hour`` (default: the last hour of
-    the preceding day), so the first sampled step lands on hour 0. Each
-    scenario draws from its own RNG stream derived from (seed, index).
+    the preceding day), so the first sampled step lands on hour 0. Scenario
+    ``i`` takes one uniform per step from its own stream
+    ``default_rng([seed, i])`` and picks the next state by ``searchsorted``
+    on the row's normalized cumulative probabilities. That is
+    ``Generator.choice``'s own arithmetic, so the trajectories are bit for
+    bit those of one ``rng.choice(len(nxt), p=probs)`` per step and
+    scenario. All scenarios advance together; each step visits only the
+    distinct states they are in.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if not 0 <= initial_state < model.n_states():
         raise ValueError(f"initial_state {initial_state} out of range")
     K = model.horizon if horizon is None else horizon
-    h0 = model.horizon - 1 if initial_hour is None else initial_hour
+    hour = model.horizon - 1 if initial_hour is None else initial_hour
 
+    uniforms = np.stack([np.random.default_rng([seed, i]).random(K) for i in range(count)])
+    states = np.full(count, initial_state, dtype=np.int64)
     values = np.empty((count, len(ENERGY_CHANNELS), K))
-    for i in range(count):
-        rng = np.random.default_rng([seed, i])
-        state = initial_state
-        hour = h0
-        for t in range(K):
-            nxt, probs = model.row(hour, state)
-            state = int(nxt[rng.choice(len(nxt), p=probs)])
-            hour = (hour + 1) % model.horizon
-            values[i, :, t] = model.state_values(state)
+    for t in range(K):
+        current = states.copy()
+        for state in np.unique(current):
+            sel = current == state
+            nxt, probs = model.row(hour, int(state))
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            states[sel] = nxt[cdf.searchsorted(uniforms[sel, t], side="right")]
+        hour = (hour + 1) % model.horizon
+        values[:, :, t] = model.state_values(states)
     probs = np.full(count, 1.0 / count)
     return ScenarioSet(channels=ENERGY_CHANNELS, values=values, probabilities=probs)
 
@@ -227,15 +240,13 @@ def _distance_matrix(sset: ScenarioSet) -> np.ndarray:
     return np.sqrt(np.maximum(d2, 0.0))
 
 
-def fast_forward_select(sset: ScenarioSet, target: int) -> list[int]:
-    """Indices kept by fast-forward selection, in pick order."""
-    if not 1 <= target <= sset.n:
-        raise ValueError(f"target must be in [1, {sset.n}], got {target}")
-    D = _distance_matrix(sset)
-    pi = sset.probabilities.copy()
-    dmin = np.full(sset.n, np.inf)
+def _fast_forward(D: np.ndarray, probabilities: np.ndarray, target: int) -> list[int]:
+    if not 1 <= target <= len(probabilities):
+        raise ValueError(f"target must be in [1, {len(probabilities)}], got {target}")
+    pi = probabilities.copy()
+    dmin = np.full(len(pi), np.inf)
     kept: list[int] = []
-    cost = np.empty(sset.n)
+    cost = np.empty(len(pi))
     for _ in range(target):
         # Expected distance of the non-kept mass to its closest kept
         # scenario if u were added; D[u, u] = 0 drops u's own term.
@@ -248,10 +259,16 @@ def fast_forward_select(sset: ScenarioSet, target: int) -> list[int]:
     return kept
 
 
+def fast_forward_select(sset: ScenarioSet, target: int) -> list[int]:
+    """Indices kept by fast-forward selection, in pick order."""
+    return _fast_forward(_distance_matrix(sset), sset.probabilities, target)
+
+
 def reduction_distance(sset: ScenarioSet, kept: list[int]) -> float:
     """Mass-weighted distance of the deleted scenarios to the kept set."""
     D = _distance_matrix(sset)
-    deleted = [i for i in range(sset.n) if i not in set(kept)]
+    kept_set = set(kept)
+    deleted = [i for i in range(sset.n) if i not in kept_set]
     if not deleted:
         return 0.0
     return float(sum(sset.probabilities[i] * D[i, kept].min() for i in deleted))
@@ -263,15 +280,16 @@ def reduce_scenarios(sset: ScenarioSet, target: int, return_indices: bool = Fals
     Deleted scenarios hand their probability to the nearest kept scenario
     (lowest index on ties), so the returned probabilities still sum to one.
     """
-    kept = sorted(fast_forward_select(sset, target))
     D = _distance_matrix(sset)
+    kept = sorted(_fast_forward(D, sset.probabilities, target))
+    nearest = np.argmin(D[:, kept], axis=1)
     probs = sset.probabilities[kept].copy()
-    pos = {idx: p for p, idx in enumerate(kept)}
+    kept_set = set(kept)
+    # Added one deleted scenario at a time in index order, as the sum's
+    # last bits depend on the order.
     for i in range(sset.n):
-        if i in pos:
-            continue
-        nearest = kept[int(np.argmin(D[i, kept]))]
-        probs[pos[nearest]] += sset.probabilities[i]
+        if i not in kept_set:
+            probs[nearest[i]] += sset.probabilities[i]
     reduced = ScenarioSet(
         channels=sset.channels, values=sset.values[kept].copy(), probabilities=probs
     )

@@ -123,6 +123,14 @@ class TestRunSpec:
                     "plan", "--data-dir", str(tmp_path / "missing"),
                     "--out-dir", str(tmp_path / "out"), flag, value,
                 ])
+        bundled = Path(__file__).resolve().parents[1] / "data" / "synthetic_week"
+        for command in ("plan", "emit"):
+            with pytest.raises(SystemExit, match=r"day 99: the data has 7 realized days"):
+                cli_main([
+                    command, "--data-dir", str(bundled),
+                    "--out-dir", str(tmp_path / "out"), "--day", "99",
+                ])
+        assert not (tmp_path / "out").exists()
 
 
 class TestScenarioTraining:

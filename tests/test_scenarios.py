@@ -1,9 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from recbid.core import ENERGY_CHANNELS, ScenarioSet
+from recbid.harness import load_week_data
 from recbid.scenarios import (
     DmcModel,
     build_price_scenarios,
@@ -58,6 +61,18 @@ class TestFitDmc:
         state_hi = model.encode_state(model.bin_values([10.0, 5.0, 7.0]))
         assert model.state_values(state_hi).tolist() == [10.0, 5.0, 7.0]
 
+    def test_array_states_match_scalar_results(self):
+        model = fit_dmc(np.random.default_rng(4).uniform(0, 9, (48, 3)), bins_per_channel=3)
+        states = np.arange(model.n_states(), dtype=np.int64)[::-1].copy()
+        before = states.copy()
+        bins = model.decode_state(states)
+        for c, channel in enumerate(bins):
+            assert channel.tolist() == [model.decode_state(int(s))[c] for s in states]
+        values = model.state_values(states)
+        assert values.shape == (len(states), 3)
+        assert np.array_equal(values, np.stack([model.state_values(int(s)) for s in states]))
+        assert np.array_equal(states, before)
+
     def test_negative_energy_rejected(self):
         history = two_day_toy_history()
         history[1, 0] = -1.0
@@ -92,6 +107,83 @@ def two_state_model(p_stay: float) -> DmcModel:
             },
         ),
     )
+
+
+def reference_sample(model, initial_state, count, horizon, seed, initial_hour=None):
+    """One ``rng.choice`` per step and trajectory: the sampler's definition."""
+    K = horizon
+    h0 = model.horizon - 1 if initial_hour is None else initial_hour
+    values = np.empty((count, len(ENERGY_CHANNELS), K))
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        state = initial_state
+        hour = h0
+        for t in range(K):
+            nxt, probs = model.row(hour, state)
+            state = int(nxt[rng.choice(len(nxt), p=probs)])
+            hour = (hour + 1) % model.horizon
+            values[i, :, t] = model.state_values(state)
+    return values
+
+
+WEEK_DIR = Path(__file__).resolve().parents[1] / "data" / "synthetic_week"
+
+
+def week_chain(day):
+    """The chain and initial state the harness samples day ``day`` from."""
+    week = load_week_data(WEEK_DIR, 24)
+    rows = np.vstack([week.energy_history, week.realized_energy[: day * week.horizon]])
+    model = fit_dmc(rows, bins_per_channel=10, horizon=week.horizon)
+    return model, model.encode_state(model.bin_values(rows[-1]))
+
+
+class TestSamplerMatchesChoice:
+    """Bit-identical to the per-trajectory ``rng.choice`` loop, so fixed-seed
+    outputs do not move; a numpy change to ``choice`` fails here."""
+
+    @pytest.mark.parametrize("day", [0, 6])
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_bundled_week_chain(self, day, seed):
+        model, state = week_chain(day)
+        got = sample_scenarios(model, state, count=300, horizon=24, seed=seed)
+        want = reference_sample(model, state, 300, 24, seed)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_dead_end_state_falls_back_to_self_loop(self):
+        # State 1 has no row at hour 1; the fallback step still uses up one
+        # uniform, or every later random step would shift.
+        model = two_state_model(0.4)
+        model = DmcModel(
+            horizon=2,
+            bin_edges=model.bin_edges,
+            representatives=model.representatives,
+            transitions=(model.transitions[0], {0: model.transitions[0][0]}),
+        )
+        assert model.row(1, 1)[0].tolist() == [1]
+        got = sample_scenarios(model, 0, count=50, horizon=8, seed=3)
+        want = reference_sample(model, 0, 50, 8, 3)
+        assert got.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("initial_hour", [0, 5, 17])
+    def test_other_initial_hour(self, initial_hour):
+        model, state = week_chain(3)
+        got = sample_scenarios(
+            model, state, count=60, horizon=24, seed=7, initial_hour=initial_hour
+        )
+        want = reference_sample(model, state, 60, 24, 7, initial_hour=initial_hour)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_horizon_wraps_past_model_horizon(self):
+        model, state = week_chain(2)
+        got = sample_scenarios(model, state, count=40, horizon=60, seed=11)
+        want = reference_sample(model, state, 40, 60, 11)
+        assert got.values.tobytes() == want.tobytes()
+
+    def test_single_trajectory(self):
+        model, state = week_chain(5)
+        got = sample_scenarios(model, state, count=1, horizon=24, seed=2)
+        want = reference_sample(model, state, 1, 24, 2)
+        assert got.values.tobytes() == want.tobytes()
 
 
 class TestSampling:
