@@ -3,10 +3,12 @@
 one simulated week, all four study cases.
 
 Runs on the bundled synthetic data by default. HiGHS solves each day's
-MILP in this process (about 46,000 variables, 56,000 rows, 169,000
-nonzeros and 7,700 binaries at ten by ten scenarios), stopping at --time-limit per day and
-case; the time a day takes to reach the default 1e-3 gap has not been
-measured. Pass a looser --gap to trade optimality margin for time.
+MILP in this process, stopping at --time-limit per day and case. At ten
+by ten scenarios a day has about 43,000 variables, 51,000 rows, 159,000
+nonzeros and 5,300 binaries, and about 41,000 / 44,000 / 145,000 / 2,900
+in the two cases without the shared-energy incentive. The time a day
+takes to reach the default 1e-3 gap has not been measured. Pass a looser
+--gap to trade optimality margin for time.
 """
 
 from __future__ import annotations

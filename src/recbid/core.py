@@ -21,7 +21,7 @@ PRICE_CHANNELS = ("price_sell_max", "price_buy_min")
 
 _ENERGY_KINDS = frozenset(ENERGY_CHANNELS)
 _PRICE_KINDS = frozenset(PRICE_CHANNELS + ("price_export", "price_import"))
-SHARED_CAP_MODES = ("member_demand", "rec_exchange")
+SHARED_CAP_MODES = ("member_demand",)
 
 
 @dataclass(frozen=True)

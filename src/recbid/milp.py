@@ -226,6 +226,13 @@ def build_instance(
     ``soc_initial`` overrides the configured initial state of charge, which
     lets a rolling simulation chain days together. ``allow_bids=False``
     pins every bid decision to zero without changing the model shape.
+
+    Exclusivity binaries that some optimum provably never needs are not
+    created (proofs in ``encode_energy_balance``). ``inst.data`` records
+    the decision: ``"base_netting"`` holds, per hour, whether that hour's
+    ``base_exp_on`` was left out (import tariff at least the export tariff),
+    and ``"exchange_netting"`` whether every ``exp_on`` was (zero
+    shared-energy incentive).
     """
     violations = validate_config(config)
     if violations:
@@ -262,6 +269,8 @@ def build_instance(
     pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
     m_rec = pe + pi + md_max + eps
     m_bess = pb + max(pe, pi) + eps
+    base_netting = ci.values >= ce.values
+    exchange_netting = config.incentive_shared == 0.0
 
     inst = MilpInstance()
     inst.data = {
@@ -283,6 +292,8 @@ def build_instance(
         "ce": ce.values.copy(),
         "ci": ci.values.copy(),
         "allow_bids": allow_bids,
+        "base_netting": base_netting,
+        "exchange_netting": exchange_netting,
     }
 
     bid_hi = 1.0 if allow_bids else 0.0
@@ -315,10 +326,14 @@ def build_instance(
                 suf = f"k{k}_s{s}_l{l}"
                 inst.add_var("exp", (k, s, l), f"exp_{suf}", CONTINUOUS, 0.0, pe)
                 inst.add_var("imp", (k, s, l), f"imp_{suf}", CONTINUOUS, 0.0, pi)
-                inst.add_var("exp_on", (k, s, l), f"exp_on_{suf}", BINARY, 0.0, 1.0)
+                if not exchange_netting:
+                    inst.add_var("exp_on", (k, s, l), f"exp_on_{suf}", BINARY, 0.0, 1.0)
                 inst.add_var("base_exp", (k, s, l), f"base_exp_{suf}", CONTINUOUS, 0.0, pe)
                 inst.add_var("base_imp", (k, s, l), f"base_imp_{suf}", CONTINUOUS, 0.0, pi)
-                inst.add_var("base_exp_on", (k, s, l), f"base_exp_on_{suf}", BINARY, 0.0, 1.0)
+                if not base_netting[k]:
+                    inst.add_var(
+                        "base_exp_on", (k, s, l), f"base_exp_on_{suf}", BINARY, 0.0, 1.0
+                    )
                 inst.add_var(
                     "rec", (k, s, l), f"rec_{suf}", CONTINUOUS, -(pi + md_max), pe
                 )
@@ -331,7 +346,10 @@ def build_instance(
                 inst.add_var("chg", (k, s, l), f"chg_{suf}", CONTINUOUS, 0.0, pb)
                 inst.add_var("dis", (k, s, l), f"dis_{suf}", CONTINUOUS, 0.0, pb)
                 inst.add_var("chg_on", (k, s, l), f"chg_on_{suf}", BINARY, 0.0, 1.0)
-                inst.add_var("shared", (k, s, l), f"shared_{suf}", CONTINUOUS, 0.0, pe)
+                # Without exp_on, the member-demand cap on shared energy is
+                # a bound (see encode_shared_energy).
+                shared_hi = min(pe, float(md[l, k])) if exchange_netting else pe
+                inst.add_var("shared", (k, s, l), f"shared_{suf}", CONTINUOUS, 0.0, shared_hi)
     if eb > 0:
         for k in range(K):
             if k == K - 1:
@@ -477,11 +495,39 @@ def _product_rows(inst, stem, prod, cont, flag, bound):
 
 
 def encode_energy_balance(inst: MilpInstance, config: RecConfig, energies: ScenarioSet) -> None:
-    """Facility balance, exchange identity, service balance and error caps."""
+    """Facility balance, exchange identity, service balance and error caps.
+
+    The export/import pairs (``exp``, ``imp``) and (``base_exp``,
+    ``base_imp``) each have a binary that forbids exporting and importing
+    in the same scenario hour, through two cap rows. Where the netting
+    argument below holds, the binary and its cap rows are left out; the
+    variables' own bounds [0, p_export_max] and [0, p_import_max] carry the
+    caps. The model without them is a relaxation of the model with them,
+    so it suffices that from any of its feasible points one can reach a
+    point of the full model whose objective is no worse: subtract
+    delta = min(export, import) from both flows, which leaves one of them
+    zero, and set the binary to whether the export is positive.
+
+    - ``base_exp_on[k, s, l]`` when ``ci[k] >= ce[k]``. ``base_exp`` and
+      ``base_imp`` enter the rows only as ``base_exp - base_imp``, in
+      ``base_balance``, so netting keeps every row and bound. They enter
+      the maximized objective as w (ce[k] base_exp - ci[k] base_imp) with
+      w = pm[s] pr[l] >= 0, which netting changes by
+      w delta (ci[k] - ce[k]) >= 0.
+    - ``exp_on[k, s, l]`` when the shared-energy incentive is zero. ``exp``
+      and ``imp`` enter ``cf_balance``, ``rec_identity`` and
+      ``base_balance`` only as ``exp - imp``, and have no objective term;
+      their one other row is ``shared <= exp``. With a zero incentive
+      ``shared`` has no objective term either and can be set to 0, so
+      netting keeps every row and the objective. ``shared``'s
+      member-demand row then needs no binary (``encode_shared_energy``).
+    """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     res, load = inst.data["res"], inst.data["load"]
     md = inst.data["md"]
     pe, pi = config.p_export_max, config.p_import_max
+    base_netting = inst.data["base_netting"]
+    exchange_netting = inst.data["exchange_netting"]
     for k in range(K):
         for s in range(n_m):
             for l in range(n_r):
@@ -493,12 +539,13 @@ def encode_energy_balance(inst: MilpInstance, config: RecConfig, energies: Scena
                     "=",
                     res[l, k] - load[l, k],
                 )
-                inst.add_row(
-                    f"export_cap_{suf}", [(v("exp"), 1.0), (v("exp_on"), -pe)], "<=", 0.0
-                )
-                inst.add_row(
-                    f"import_cap_{suf}", [(v("imp"), 1.0), (v("exp_on"), pi)], "<=", pi
-                )
+                if not exchange_netting:
+                    inst.add_row(
+                        f"export_cap_{suf}", [(v("exp"), 1.0), (v("exp_on"), -pe)], "<=", 0.0
+                    )
+                    inst.add_row(
+                        f"import_cap_{suf}", [(v("imp"), 1.0), (v("exp_on"), pi)], "<=", pi
+                    )
                 inst.add_row(
                     f"rec_identity_{suf}",
                     [(v("rec"), 1.0), (v("exp"), -1.0), (v("imp"), 1.0)],
@@ -547,18 +594,19 @@ def encode_energy_balance(inst: MilpInstance, config: RecConfig, energies: Scena
                     "=",
                     0.0,
                 )
-                inst.add_row(
-                    f"base_export_cap_{suf}",
-                    [(v("base_exp"), 1.0), (v("base_exp_on"), -pe)],
-                    "<=",
-                    0.0,
-                )
-                inst.add_row(
-                    f"base_import_cap_{suf}",
-                    [(v("base_imp"), 1.0), (v("base_exp_on"), pi)],
-                    "<=",
-                    pi,
-                )
+                if not base_netting[k]:
+                    inst.add_row(
+                        f"base_export_cap_{suf}",
+                        [(v("base_exp"), 1.0), (v("base_exp_on"), -pe)],
+                        "<=",
+                        0.0,
+                    )
+                    inst.add_row(
+                        f"base_import_cap_{suf}",
+                        [(v("base_imp"), 1.0), (v("base_exp_on"), pi)],
+                        "<=",
+                        pi,
+                    )
 
 
 def encode_relaxation_logic(inst: MilpInstance, config: RecConfig) -> None:
@@ -671,7 +719,13 @@ def encode_storage(inst: MilpInstance, config: RecConfig, energies: ScenarioSet)
 
 
 def encode_shared_energy(inst: MilpInstance, config: RecConfig) -> None:
-    """Shared energy below the realized export and the configured cap."""
+    """Shared energy below the realized export and the members' demand.
+
+    The demand cap is gated on the export indicator: equivalent for
+    integral indicators (no export means no shared energy anyway) and much
+    tighter in the LP relaxation. Without ``exp_on`` (zero incentive, see
+    ``encode_energy_balance``) the cap is the bound of ``shared`` instead.
+    """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     md = inst.data["md"]
     for k in range(K):
@@ -685,20 +739,10 @@ def encode_shared_energy(inst: MilpInstance, config: RecConfig) -> None:
                     "<=",
                     0.0,
                 )
-                if config.shared_energy_cap_mode == "member_demand":
-                    # The cap is gated on the export indicator: equivalent for
-                    # integral indicators (no export means no shared energy
-                    # anyway) and much tighter in the LP relaxation.
+                if not inst.data["exchange_netting"]:
                     inst.add_row(
                         f"shared_cap_{suf}",
                         [(shared, 1.0), (inst.var("exp_on", k, s, l), -md[l, k])],
-                        "<=",
-                        0.0,
-                    )
-                else:
-                    inst.add_row(
-                        f"shared_cap_{suf}",
-                        [(shared, 1.0), (inst.var("rec", k, s, l), -1.0)],
                         "<=",
                         0.0,
                     )
@@ -903,9 +947,9 @@ def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
 def expected_cashflow(inst: MilpInstance, values: np.ndarray) -> dict[str, float]:
     """Planner-side expected cash-flow decomposition at a solution.
 
-    Shared energy is re-derived as min(export, cap) so the report stays
-    meaningful when the incentive is zero and the solver leaves the shared
-    variable anywhere below its cap.
+    Shared energy is re-derived as min(export, member demand) so the report
+    stays meaningful when the incentive is zero and the solver leaves the
+    shared variable anywhere below its cap.
     """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     pm, pr = inst.data["pm"], inst.data["pr"]
@@ -933,13 +977,9 @@ def expected_cashflow(inst: MilpInstance, values: np.ndarray) -> dict[str, float
             for l in range(n_r):
                 w = pm[s] * pr[l]
                 exp = values[inst.var("exp", k, s, l)]
-                if config.shared_energy_cap_mode == "member_demand":
-                    cap = md[l, k]
-                else:
-                    cap = max(values[inst.var("rec", k, s, l)], 0.0)
                 out["export_revenue"] += w * ce[k] * values[inst.var("base_exp", k, s, l)]
                 out["import_cost"] += w * ci[k] * values[inst.var("base_imp", k, s, l)]
-                out["shared_incentive"] += w * config.incentive_shared * min(exp, cap)
+                out["shared_incentive"] += w * config.incentive_shared * min(exp, md[l, k])
                 out["msd_sell_revenue"] += w * sell_price * award_s
                 out["msd_buy_cost"] += w * buy_price * award_b
                 out["penalty_sell"] += w * inst.data["penalty_sell"] * values[

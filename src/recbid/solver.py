@@ -255,8 +255,9 @@ def solve_external(
     the result as ``solution.sol``: a ``status`` line, the objective and gap
     HiGHS reported, then one ``name value`` line per variable in ``repr``
     floats, so the file holds the returned values bit for bit. A result with
-    no solution to report, such as a time limit reached before any feasible
-    point, raises RuntimeError.
+    no solution to report raises RuntimeError; for a time limit reached
+    before any feasible point, the message names HiGHS's dual bound on the
+    maximized objective and its node count.
     """
     if workdir is not None:
         workdir = Path(workdir)
@@ -276,7 +277,14 @@ def solve_external(
         (workdir / "solution.sol").write_text("\n".join(lines) + "\n")
     if status == "unknown":
         if res.status == 1:
-            raise RuntimeError(f"time limit of {time_limit_s} s reached with no feasible solution")
+            # Both are None when the limit falls before the branch-and-bound.
+            bound, nodes = res.mip_dual_bound, res.mip_node_count
+            bound = "unknown" if bound is None else repr(-float(bound) + 0.0)
+            nodes = "unknown" if nodes is None else nodes
+            raise RuntimeError(
+                f"time limit of {time_limit_s} s reached with no feasible solution "
+                f"(dual bound {bound}, nodes {nodes})"
+            )
         raise RuntimeError(f"HiGHS finished with unmapped status {res.status}: {res.message}")
     if status in ("infeasible", "unbounded"):
         return Solution(status=status, objective_value=None, values=None)

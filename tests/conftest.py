@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from recbid.core import DayTrajectory, RecConfig, ScenarioSet
-from recbid.milp import build_instance
+from recbid.milp import BINARY, MilpInstance, build_instance
 
 hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True
@@ -124,3 +124,39 @@ def tiny_inputs():
 def tiny_instance():
     """Battery-free single-hour instance with a hand-checkable optimum."""
     return build_instance(*tiny_inputs())
+
+
+def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
+    """Put back, in place, the exclusivity binaries and cap rows that
+    build_instance leaves out where its netting conditions hold, appended
+    after the built variables and rows.
+
+    The result is the model as built before those conditions were checked
+    (only the order of variables and rows differs), which the tests use as
+    the reference for the reduced model's optimum.
+    """
+    d = inst.data
+    pe, pi = d["config"].p_export_max, d["config"].p_import_max
+    for k in range(d["K"]):
+        for s in range(d["n_m"]):
+            for l in range(d["n_r"]):
+                suf = f"k{k}_s{s}_l{l}"
+                idx = (k, s, l)
+                if d["exchange_netting"]:
+                    on = inst.add_var("exp_on", idx, f"exp_on_{suf}", BINARY, 0.0, 1.0)
+                    exp, imp = inst.var("exp", *idx), inst.var("imp", *idx)
+                    shared = inst.var("shared", *idx)
+                    inst.add_row(f"export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
+                    inst.add_row(f"import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
+                    inst.add_row(
+                        f"shared_cap_{suf}", [(shared, 1.0), (on, -d["md"][l, k])], "<=", 0.0
+                    )
+                    inst.ub[shared] = pe
+                if d["base_netting"][k]:
+                    on = inst.add_var(
+                        "base_exp_on", idx, f"base_exp_on_{suf}", BINARY, 0.0, 1.0
+                    )
+                    exp, imp = inst.var("base_exp", *idx), inst.var("base_imp", *idx)
+                    inst.add_row(f"base_export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
+                    inst.add_row(f"base_import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
+    return inst

@@ -33,6 +33,7 @@ from conftest import (
     price_set,
     random_inputs,
     small_config,
+    with_exclusivity_binaries,
 )
 from test_harness import flat_week, tiny_spec, week_to_csvs
 from test_settlement import program_with
@@ -49,9 +50,11 @@ ORACLE_TIME_BUDGET_S = 60.0
 def oracle_batch(tmp_path_factory):
     """Randomized K=3, n_m=2, n_r=2 instances solved by both backends.
 
-    The faithful model carries 54 declared binaries at this size (export,
-    baseline-export and charge indicators are scenario-indexed), so the
-    reference oracle runs with an explicit binary budget above its default.
+    The model carries 30 declared binaries at this size, 42 with a
+    shared-energy incentive (the export and charge indicators are
+    scenario-indexed; the family's export tariffs sit below its import
+    tariffs, so no baseline-export indicator is built), so the reference
+    oracle runs with an explicit binary budget above its default.
     """
     base = tmp_path_factory.mktemp("oracle")
     runs = []
@@ -127,6 +130,19 @@ class TestOracleEquivalence:
                 assert abs(ref.objective_value - ext.objective_value) <= 1e-6 * scale
         print(f"\nPASS: oracle equivalence on {len(small_oracle_batch)} instances "
               "within the default 24-binary budget")
+
+    def test_dropped_exclusivity_binaries_keep_the_oracle_optimum(self, small_oracle_batch):
+        # The full model, with every exclusivity flag put back, still fits
+        # the default budget at this size.
+        for seed, _inst, ref, _ext in small_oracle_batch:
+            cfg, prices, energies, kp = random_inputs(seed, K=2, nm=2, nr=1)
+            full = with_exclusivity_binaries(build_instance(cfg, prices, energies, kp))
+            ref_full = reference_solve(full)
+            assert ref.status == ref_full.status == "optimal", seed
+            scale = max(1.0, abs(ref_full.objective_value))
+            assert abs(ref.objective_value - ref_full.objective_value) <= 1e-6 * scale, seed
+        print(f"\nPASS: reduced and full models share the oracle optimum on "
+              f"{len(small_oracle_batch)} instances")
 
 
 @pytest.mark.slow

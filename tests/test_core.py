@@ -59,6 +59,14 @@ class TestValidateConfig:
         cfg = small_config(shared_energy_cap_mode="nonsense")
         assert any("shared_energy_cap_mode" in p for p in validate_config(cfg))
 
+    def test_rec_exchange_cap_mode_refused(self):
+        # Capping shared energy by the net community exchange forbade every
+        # net import, so the mode is gone.
+        cfg = small_config(shared_energy_cap_mode="rec_exchange")
+        assert validate_config(cfg) == [
+            "shared_energy_cap_mode must be one of ('member_demand',), got 'rec_exchange'"
+        ]
+
 
 def test_config_json_roundtrip(tmp_path):
     path = tmp_path / "cfg.json"

@@ -1,7 +1,11 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from recbid.core import validate_program
+from recbid.core import RecConfig, validate_program
+from recbid.harness import CASES, RunSpec, day_inputs, load_week_data
 from recbid.milp import (
     BINARY,
     CONTINUOUS,
@@ -16,7 +20,7 @@ from recbid.milp import (
     resolve_penalties,
 )
 from recbid.simplex import solve_lp
-from recbid.solver import emit_exchange, reference_solve
+from recbid.solver import emit_exchange, reference_solve, solve_external
 
 from conftest import (
     energy_set,
@@ -26,30 +30,48 @@ from conftest import (
     random_instance,
     small_config,
     tiny_inputs,
+    with_exclusivity_binaries,
 )
 
+WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
 
-def expected_counts(K, nm, nr, battery=True, green=True):
+
+def expected_counts(
+    K, nm, nr, battery=True, green=True, base_binary_hours=0, exchange_binaries=True
+):
     """Row/variable counts derived family by family, independent of the builder.
 
     Rows: bid gating 2K, one-bid K, pick sums 2K, pick-quantity sums 2K;
     acceptance definitions 2K*nm, award products 6K*nm, award links 2K*nm,
     activity reification 6K*nm, pick-quantity products 6K*nm;
-    per (k,s,l): facility balance 1, export/import caps 2, exchange identity 1,
-    service balance 1, shortfall caps 2, baseline balance 1, baseline caps 2,
-    slack caps 4, battery service 1, charge caps 2, shared rows 2 (19 total),
-    plus 1 SOC balance row and 1 renewable cap when active.
-    Variables: 6 per hour, 10 per (k,s), 17 per (k,s,l), plus 1 SOC
-    variable per (k,s,l) when the battery is real.
+    per (k,s,l): facility balance 1, exchange identity 1, service balance 1,
+    shortfall caps 2, baseline balance 1, slack caps 4, battery service 1,
+    charge caps 2, shared-below-export 1 (14 total), plus 1 SOC balance row
+    and 1 renewable cap when active.
+    Variables: 6 per hour, 10 per (k,s), 15 per (k,s,l), plus 1 SOC
+    variable per (k,s,l) when the battery is real. Binaries: 2 per hour,
+    2 per (k,s), the charge flag per (k,s,l).
+    The exchange flag (with its export/import caps and the shared-energy
+    cap) exists per (k,s,l) only with ``exchange_binaries`` (a nonzero
+    incentive); the baseline flag (with its two caps) only in the
+    ``base_binary_hours`` hours whose export tariff is above the import
+    tariff.
     """
-    rows = 7 * K + 22 * K * nm + 19 * K * nm * nr
-    n_vars = 6 * K + 10 * K * nm + 17 * K * nm * nr
+    rows = 7 * K + 22 * K * nm + 14 * K * nm * nr
+    n_vars = 6 * K + 10 * K * nm + 15 * K * nm * nr
+    n_bin = 2 * K + 2 * K * nm + K * nm * nr
     if battery:
         rows += K * nm * nr
         n_vars += K * nm * nr
     if green:
         rows += K * nm * nr
-    n_bin = 2 * K + 2 * K * nm + 3 * K * nm * nr
+    if exchange_binaries:
+        rows += 3 * K * nm * nr
+        n_vars += K * nm * nr
+        n_bin += K * nm * nr
+    rows += 2 * base_binary_hours * nm * nr
+    n_vars += base_binary_hours * nm * nr
+    n_bin += base_binary_hours * nm * nr
     return rows, n_vars, n_bin
 
 
@@ -71,21 +93,39 @@ def lp_extreme(inst, sym, idx, fixes=None, maximize=True):
 class TestBuildCounts:
     def test_single_hour_hand_enumeration(self, tiny_instance):
         # Battery-free, renewable flag off: every family counted by hand.
-        rows, n_vars, n_bin = expected_counts(1, 1, 1, battery=False, green=False)
-        assert tiny_instance.n_rows == rows == 48
-        assert tiny_instance.n_vars == n_vars == 33
-        assert len(tiny_instance.binary_ids()) == n_bin == 7
+        # Zero incentive and export tariff below import tariff: neither
+        # exclusivity flag is built.
+        rows, n_vars, n_bin = expected_counts(
+            1, 1, 1, battery=False, green=False, exchange_binaries=False
+        )
+        assert tiny_instance.n_rows == rows == 43
+        assert tiny_instance.n_vars == n_vars == 31
+        assert len(tiny_instance.binary_ids()) == n_bin == 5
 
     @pytest.mark.parametrize("K,nm,nr", [(1, 2, 1), (2, 2, 2), (3, 2, 2)])
     def test_counts_match_formula(self, K, nm, nr):
+        self.assert_counts(K, nm, nr, gamma=0.119, high_export_hours=0)
+
+    @pytest.mark.parametrize("gamma,high_export_hours", [(0.0, 0), (0.0, 1), (0.119, 2)])
+    def test_counts_follow_netting_conditions(self, gamma, high_export_hours):
+        self.assert_counts(3, 2, 2, gamma, high_export_hours)
+
+    @staticmethod
+    def assert_counts(K, nm, nr, gamma, high_export_hours):
+        """The first ``high_export_hours`` hours export at 0.30 against an
+        import tariff of 0.25; the others export at 0.08."""
         rng = np.random.default_rng(K * 100 + nm * 10 + nr)
-        cfg = small_config(K=K)
+        cfg = small_config(K=K, incentive_shared=gamma)
         prices = price_set(rng.uniform(0.2, 0.4, (nm, K)), rng.uniform(0.1, 0.15, (nm, K)))
         energies = energy_set(
             rng.uniform(0, 30, (nr, K)), rng.uniform(1, 5, (nr, K)), rng.uniform(2, 20, (nr, K))
         )
-        inst = build_instance(cfg, prices, energies, known_prices([0.08] * K, [0.25] * K))
-        rows, n_vars, n_bin = expected_counts(K, nm, nr, battery=True, green=True)
+        ce = [0.30] * high_export_hours + [0.08] * (K - high_export_hours)
+        inst = build_instance(cfg, prices, energies, known_prices(ce, [0.25] * K))
+        rows, n_vars, n_bin = expected_counts(
+            K, nm, nr, battery=True, green=True, base_binary_hours=high_export_hours,
+            exchange_binaries=gamma > 0,
+        )
         assert inst.n_rows == rows
         assert inst.n_vars == n_vars
         assert len(inst.binary_ids()) == n_bin
@@ -191,9 +231,12 @@ class TestForcingRows:
         res = lp_extreme(tiny_instance, "sell_qty", (0,), fixes)
         assert res.status == "infeasible"
 
-    def test_exporting_flag_forces_zero_import(self, tiny_instance):
+    def test_exporting_flag_forces_zero_import(self):
+        # The flag exists only with a shared-energy incentive.
+        cfg, prices, energies, kp = tiny_inputs()
+        inst = build_instance(replace(cfg, incentive_shared=0.119), prices, energies, kp)
         fixes = {("exp_on", (0, 0, 0)): (1.0, 1.0)}
-        assert lp_extreme(tiny_instance, "imp", (0, 0, 0), fixes).objective <= 1e-9
+        assert lp_extreme(inst, "imp", (0, 0, 0), fixes).objective <= 1e-9
 
     def test_no_service_and_no_shift_pins_exchange_to_baseline(self, tiny_instance):
         fixes = {
@@ -386,8 +429,6 @@ class TestObjectiveAndExtraction:
         cash = expected_cashflow(inst, sol.values)
         # the report derives shared energy from the flows, not the variable
         assert cash["shared_incentive"] == 0.0
-        cfg_gamma = small_config(K=1, incentive_shared=0.119)
-        del cfg_gamma
         assert abs(min(exp_val, 50.0) - 30.0) <= 1e-9
 
     def test_price_scaling_scales_objective(self):
@@ -452,6 +493,65 @@ class TestObjectiveAndExtraction:
             s_locked = reference_solve(locked, binary_limit=40)
             assert s_free.status == "optimal" and s_locked.status == "optimal"
             assert s_free.objective_value >= s_locked.objective_value - 1e-9
+
+
+class TestExclusivityNetting:
+    """The model built without the exclusivity flags its netting proofs
+    drop (milp.encode_energy_balance) keeps the optimum of the model with
+    every flag, rebuilt by with_exclusivity_binaries."""
+
+    @staticmethod
+    def assert_same_optimum(inputs, allow_bids=True):
+        reduced = build_instance(*inputs, allow_bids=allow_bids)
+        full = with_exclusivity_binaries(build_instance(*inputs, allow_bids=allow_bids))
+        assert len(full.binary_ids()) > len(reduced.binary_ids())
+        a = solve_external(reduced, None, rel_gap=1e-9)
+        b = solve_external(full, None, rel_gap=1e-9)
+        assert a.status == b.status == "optimal"
+        scale = max(1.0, abs(b.objective_value))
+        assert abs(a.objective_value - b.objective_value) <= 1e-6 * scale
+        assert check_solution(reduced, a.values) == []
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days_keep_their_optimum(self, day, case):
+        spec = RunSpec(config=RecConfig(), case=case, n_m=2, n_r=1, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), day
+        )
+        self.assert_same_optimum((config, prices, energies, known), allow_bids)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_family_keeps_its_optimum(self, seed):
+        self.assert_same_optimum(random_inputs(seed))
+
+    def test_export_above_import_keeps_the_baseline_flag(self):
+        # Only hour 0 exports at a tariff above the import tariff.
+        cfg, prices, energies, _ = random_inputs(3, K=2)
+        inputs = (cfg, prices, energies, known_prices([0.30, 0.08], [0.25, 0.25]))
+        inst = build_instance(*inputs)
+        assert inst.data["base_netting"].tolist() == [False, True]
+        assert {k for k, _s, _l in inst.index["base_exp_on"]} == {0}
+        assert "base_export_cap_k0_s1_l1" in inst.row_names
+        assert "base_import_cap_k1_s0_l0" not in inst.row_names
+        self.assert_same_optimum(inputs)
+        # Battery-free and without bids, the hour must export 30. Exporting
+        # at 0.30 and importing at 0.25, a baseline of 50 out and 20 in
+        # would book 10.0 instead of 9.0; the kept flag forbids it.
+        cfg, prices, energies, _ = tiny_inputs()
+        kp = known_prices([0.30], [0.25])
+        sol = reference_solve(build_instance(cfg, prices, energies, kp, allow_bids=False))
+        assert sol.objective_value == pytest.approx(9.0, abs=1e-9)
+
+    def test_incentive_keeps_the_exchange_flag(self):
+        cfg, prices, energies, kp = tiny_inputs()
+        for gamma, kept in ((0.119, True), (0.0, False)):
+            inst = build_instance(replace(cfg, incentive_shared=gamma), prices, energies, kp)
+            assert inst.data["exchange_netting"] is not kept
+            assert ("exp_on" in inst.index) is kept
+            assert ("shared_cap_k0_s0_l0" in inst.row_names) is kept
+            # Without the flag, the member demand of 20 caps shared energy.
+            assert inst.ub[inst.var("shared", 0, 0, 0)] == (50.0 if kept else 20.0)
 
 
 class TestSparseRows:

@@ -91,8 +91,8 @@ class TestReferenceSolve:
         assert sol.objective_value == pytest.approx(4.0)
 
     def test_binary_limit_refusal_names_count(self):
-        inst = random_instance(2)  # 54 binaries at K=3, nm=2, nr=2
-        with pytest.raises(ValueError, match="54"):
+        inst = random_instance(2)  # 30 binaries at K=3, nm=2, nr=2, zero incentive
+        with pytest.raises(ValueError, match="30"):
             reference_solve(inst, binary_limit=24)
 
     def test_best_bound_order_bounds_lp_count(self, monkeypatch):
@@ -117,8 +117,16 @@ class TestReferenceSolve:
 
 def no_incumbent_milp(*args, **kwargs):
     """What scipy.optimize.milp returns when HiGHS stops at its time limit
-    before finding any feasible point."""
-    return SimpleNamespace(status=1, x=None, fun=None, message="Time limit reached.")
+    before finding any feasible point. The dual bound is on the minimized
+    (negated) objective."""
+    return SimpleNamespace(
+        status=1,
+        x=None,
+        fun=None,
+        message="Time limit reached.",
+        mip_dual_bound=-114.9,
+        mip_node_count=7,
+    )
 
 
 class TestExternalBackend:
@@ -141,10 +149,22 @@ class TestExternalBackend:
 
     def test_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
-        with pytest.raises(RuntimeError, match="^time limit of 2.0 s reached with no feasible"):
+        with pytest.raises(RuntimeError) as err:
             solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
+        assert str(err.value) == (
+            "time limit of 2.0 s reached with no feasible solution (dual bound 114.9, nodes 7)"
+        )
         assert (tmp_path / "instance.lp").read_text() == emit_exchange(tiny_instance)
         assert (tmp_path / "solution.sol").read_text() == "status unknown\n"
+
+    def test_time_limit_before_search_named(self, tiny_instance, monkeypatch):
+        # A limit that falls before the branch-and-bound (in presolve or the
+        # root LP) leaves HiGHS with neither figure.
+        res = SimpleNamespace(**vars(no_incumbent_milp()))
+        res.mip_dual_bound = res.mip_node_count = None
+        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: res)
+        with pytest.raises(RuntimeError, match=r"\(dual bound unknown, nodes unknown\)$"):
+            solve_external(tiny_instance, None, time_limit_s=2.0)
 
     def test_infeasible_and_unmapped_statuses(self, tmp_path, monkeypatch):
         sol = solve_external(infeasible_instance(), tmp_path)
