@@ -21,7 +21,6 @@ PRICE_CHANNELS = ("price_sell_max", "price_buy_min")
 
 _ENERGY_KINDS = frozenset(ENERGY_CHANNELS)
 _PRICE_KINDS = frozenset(PRICE_CHANNELS + ("price_export", "price_import"))
-SHARED_CAP_MODES = ("member_demand",)
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class RecConfig:
     incentive_shared: float = 0.119
     epsilon_max: float | None = None
     renewable_only_charging: bool = True
-    shared_energy_cap_mode: str = "member_demand"
 
 
 def validate_config(config: RecConfig) -> list[str]:
@@ -97,11 +95,6 @@ def validate_config(config: RecConfig) -> list[str]:
         v.append(f"incentive_shared must be >= 0, got {config.incentive_shared}")
     if config.epsilon_max is not None and config.epsilon_max < 0:
         v.append(f"epsilon_max must be >= 0, got {config.epsilon_max}")
-    if config.shared_energy_cap_mode not in SHARED_CAP_MODES:
-        v.append(
-            f"shared_energy_cap_mode must be one of {SHARED_CAP_MODES}, "
-            f"got {config.shared_energy_cap_mode!r}"
-        )
     return v
 
 

@@ -836,6 +836,7 @@ class Solution:
     objective_value: float | None
     values: np.ndarray | None
     mip_gap: float = 0.0
+    nodes: int | None = None  # branch-and-bound nodes, None when the solver gave no count
 
 
 def check_solution(inst: MilpInstance, values: np.ndarray, tol: float = FEAS_TOL) -> list[str]:

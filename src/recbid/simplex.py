@@ -1,10 +1,19 @@
-"""Bounded-variable primal simplex for dense LPs.
+"""Bounded-variable simplex for dense LPs.
 
-Self-contained two-phase solver used by the exact reference oracle, so its
-results never depend on a third-party optimizer. Variables carry finite
-lower bounds (upper bounds may be infinite); rows may be <=, = or >=.
-Pricing is Dantzig by default and falls back to Bland's rule when the
-objective stalls, which restores the termination guarantee.
+Self-contained solver used by the exact reference oracle, so its results
+never depend on a third-party optimizer. Variables carry finite lower
+bounds (upper bounds may be infinite); rows may be <=, = or >=.
+
+A cold solve runs the two-phase primal simplex from a crash basis of slacks
+and artificials. A warm solve starts from the ``LpResult.basis`` of an LP
+with the same rows and costs: after bounds only tighten, as in a
+branch-and-bound child, that basis is still dual feasible, so B^-1 is
+refactored once from it and the bounded-variable dual simplex restores
+primal feasibility (dual steepest-edge row choice, Harris ratio test; see
+Koberstein, *The dual simplex method, techniques for a fast and stable
+implementation*, 2005). A primal pass then confirms optimality. Pricing
+falls back to Bland's rule when the objective stalls, which restores the
+termination guarantee in both methods.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ import numpy as np
 
 RC_TOL = 1e-9  # reduced-cost tolerance
 FEAS_TOL = 1e-9
+PIVOT_TOL = 1e-9  # smallest pivot-row entry the dual ratio test accepts
 REFACTOR_EVERY = 64
 STALL_LIMIT = 200
 
@@ -28,6 +38,9 @@ class LpResult:
     objective: float | None
     iterations: int = 0
     reduced_costs: np.ndarray | None = None  # structural block, maximize sense
+    # (basic column ids, nonbasic column ids at their upper bound) at the
+    # optimum. Column j < n is structural j; column n + i is row i's slack.
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 class _Tableau:
@@ -51,35 +64,43 @@ class _Tableau:
         self.binv = np.empty((self.m, self.m))
         self.pivots = 0
 
-    def column(self, j: int) -> np.ndarray:
-        if j < self.ns:
-            return self.A[:, j]
-        col = np.zeros(self.m)
-        if j < self.ns + self.m:
-            col[j - self.ns] = 1.0
-        else:
-            i = j - self.ns - self.m
-            col[i] = self.art_sign[i]
-        return col
-
     def set_basis(self, basis):
         self.basis = np.array(basis, dtype=int)  # own copy: pivots mutate it
         self.status[self.basis] = BASIC
         self.refactor()
 
     def refactor(self):
-        B = np.column_stack([self.column(j) for j in self.basis])
-        self.binv = np.linalg.solve(B, np.eye(self.m))
+        """Recompute B^-1 and the basic values from the basis.
+
+        Slack and artificial columns are signed unit vectors, so B^-1 follows
+        from the inverse of the square block of the basic structural columns
+        on the rows that no unit column covers.
+        """
+        ns, m = self.ns, self.m
+        basis = self.basis
+        struct = np.flatnonzero(basis < ns)
+        unit = np.flatnonzero(basis >= ns)
+        unit_row = (basis[unit] - ns) % m
+        sign = np.where(basis[unit] < ns + m, 1.0, self.art_sign[unit_row])
+        covered = np.zeros(m, dtype=bool)
+        covered[unit_row] = True
+        rest = np.flatnonzero(~covered)
+        A_struct = self.A[:, basis[struct]]
+        inv = np.linalg.inv(A_struct[rest])
+        binv = np.zeros((m, m))
+        binv[np.ix_(struct, rest)] = inv
+        binv[unit, unit_row] = sign
+        binv[np.ix_(unit, rest)] = -sign[:, None] * (A_struct[unit_row] @ inv)
+        self.binv = binv
         self.resync()
 
     def resync(self):
-        rhs = self.b.copy()
         ns, m = self.ns, self.m
-        struct_nb = np.flatnonzero(self.status[:ns] != BASIC)
-        rhs -= self.A[:, struct_nb] @ self.x[struct_nb]
-        for j in range(ns, self.n):
-            if self.status[j] != BASIC and self.x[j] != 0.0:
-                rhs -= self.column(j) * self.x[j]
+        nonbasic = self.status != BASIC
+        struct_nb = np.flatnonzero(nonbasic[:ns])
+        rhs = self.b - self.A[:, struct_nb] @ self.x[struct_nb]
+        rhs -= np.where(nonbasic[ns : ns + m], self.x[ns : ns + m], 0.0)
+        rhs -= np.where(nonbasic[ns + m :], self.art_sign * self.x[ns + m :], 0.0)
         self.x[self.basis] = self.binv @ rhs
 
     def reduced_costs(self, c):
@@ -102,7 +123,11 @@ class _Tableau:
         piv = direction[leave_pos]
         eta = -direction / piv
         eta[leave_pos] = 1.0 / piv - 1.0
-        self.binv += np.outer(eta, self.binv[leave_pos])
+        # binv += outer(eta, binv[leave_pos]) in place, on the Fortran view.
+        # Imported here so that importing the package does not load scipy.linalg.
+        from scipy.linalg.blas import dger
+
+        dger(1.0, self.binv[leave_pos].copy(), eta, a=self.binv.T, overwrite_a=True)
         self.basis[leave_pos] = entering
         self.pivots += 1
         if self.pivots % REFACTOR_EVERY == 0:
@@ -178,6 +203,82 @@ def _maximize(tab: _Tableau, c: np.ndarray, max_iter: int):
     raise RuntimeError(f"simplex did not terminate within {max_iter} iterations")
 
 
+def _dual(tab: _Tableau, c: np.ndarray, max_iter: int):
+    """Run dual iterations until the basis is primal feasible.
+
+    Returns (status, iterations) with status "feasible", or "infeasible"
+    when the chosen row's basic variable cannot reach its bound however the
+    nonbasic variables move within theirs. Artificials are fixed at zero
+    and never enter.
+    """
+    ns, nm = tab.ns, tab.ns + tab.m
+    fixed = tab.ub[:nm] - tab.lb[:nm] <= FEAS_TOL
+    best = np.inf
+    stalled = 0
+    bland = False
+    for it in range(max_iter):
+        basis = tab.basis
+        xb = tab.x[basis]
+        infeas = np.maximum(tab.lb[basis] - xb, xb - tab.ub[basis])
+        rows = np.flatnonzero(infeas > FEAS_TOL)
+        if rows.size == 0:
+            return "feasible", it
+        if bland:
+            r = int(rows[np.argmin(basis[rows])])
+        else:
+            # Dual steepest edge, with the exact weights ||row of B^-1||^2.
+            w = np.einsum("ij,ij->i", tab.binv[rows], tab.binv[rows])
+            r = int(rows[np.argmax(infeas[rows] ** 2 / w)])
+        leaving = basis[r]
+        to_lower = xb[r] < tab.lb[leaving]
+        bound = tab.lb[leaving] if to_lower else tab.ub[leaving]
+
+        # Pivot row, signed so that a column helps when it moves away from
+        # its bound with a negative entry at lower, a positive one at upper.
+        a = np.empty(nm)
+        a[:ns] = tab.binv[r] @ tab.A
+        a[ns:] = tab.binv[r]
+        if not to_lower:
+            a = -a
+        at_lower = tab.status[:nm] == AT_LOWER
+        at_upper = tab.status[:nm] == AT_UPPER
+        cand = np.flatnonzero(
+            ~fixed & ((at_lower & (a < -PIVOT_TOL)) | (at_upper & (a > PIVOT_TOL)))
+        )
+        if cand.size == 0:
+            return "infeasible", it
+        rc = tab.reduced_costs(c)[cand]
+        # |d_j| where d_j has its optimal sign; zero where it drifted past it.
+        d = np.maximum(np.where(at_lower[cand], -rc, rc), 0.0)
+        abs_a = np.abs(a[cand])
+        ratio = d / abs_a
+        if bland:
+            q = int(cand[ratio <= ratio.min() + 1e-12].min())
+        else:
+            # Harris: largest pivot among ratios under the bound relaxed by RC_TOL.
+            ok = ratio <= ((d + RC_TOL) / abs_a).min()
+            q = int(cand[ok][np.argmax(abs_a[ok])])
+
+        col = tab.direction(q)
+        step = (xb[r] - bound) / col[r]
+        tab.x[basis] = xb - step * col
+        tab.x[q] += step
+        tab.x[leaving] = bound
+        tab.status[leaving] = AT_LOWER if to_lower else AT_UPPER
+        tab.status[q] = BASIC
+        tab.pivot(q, r, col)
+
+        obj = float(c @ tab.x)
+        if obj < best - 1e-12:
+            best = obj
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled > STALL_LIMIT:
+                bland = True
+    raise RuntimeError(f"dual simplex did not terminate within {max_iter} iterations")
+
+
 def solve_lp(
     c,
     A,
@@ -187,12 +288,17 @@ def solve_lp(
     ub,
     maximize: bool = True,
     max_iter: int = 50000,
+    basis: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LpResult:
     """Solve max (or min) c'x subject to row senses and variable bounds.
 
     ``senses`` holds one of "<=", "=", ">=" per row. Lower bounds must be
-    finite. Returns status "optimal" with the optimizer, or "infeasible" /
-    "unbounded".
+    finite. Returns status "optimal" with the optimizer and its basis, or
+    "infeasible" / "unbounded". ``basis`` is the ``LpResult.basis`` of an
+    earlier solve with the same ``c``, ``A``, ``senses`` and ``b``; the solve
+    then re-optimizes from it with the dual simplex instead of starting
+    cold. It must be dual feasible for the new bounds, which holds when they
+    are at least as tight as those it was returned for.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -207,7 +313,7 @@ def solve_lp(
     if np.any(lb > ub + FEAS_TOL):
         return LpResult("infeasible", None, None)
     if not maximize:
-        res = solve_lp(-c, A, senses, b, lb, ub, maximize=True, max_iter=max_iter)
+        res = solve_lp(-c, A, senses, b, lb, ub, maximize=True, max_iter=max_iter, basis=basis)
         if res.objective is not None:
             res.objective = -res.objective
         if res.reduced_costs is not None:
@@ -231,6 +337,26 @@ def solve_lp(
         elif sense not in ("<=", "="):
             raise ValueError(f"row {i}: unknown sense {sense!r}")
     slack_ub = np.array([0.0 if s == "=" else np.inf for s in senses])
+    c_full = np.concatenate([c, np.zeros(2 * m)])
+
+    if basis is not None:
+        # Warm start. Artificials are fixed at zero and never basic, so
+        # their sign is immaterial.
+        tab = _Tableau(
+            A,
+            b,
+            np.concatenate([lb, np.zeros(2 * m)]),
+            np.concatenate([ub, slack_ub, np.zeros(m)]),
+            np.ones(m),
+        )
+        basic, at_upper = basis
+        tab.status[at_upper] = AT_UPPER
+        tab.x[at_upper] = tab.ub[at_upper]
+        tab.set_basis(basic)
+        status, it1 = _dual(tab, c_full, max_iter)
+        if status == "infeasible":
+            return LpResult("infeasible", None, None, it1)
+        return _optimize(tab, c_full, max_iter, it1)
 
     resid = b - A @ lb
     art_sign = np.where(resid >= 0, 1.0, -1.0)
@@ -292,9 +418,27 @@ def solve_lp(
     else:
         tab.ub[n + m :] = 0.0
 
-    c_phase2 = np.concatenate([c, np.zeros(2 * m)])
-    status, it2, rc2 = _maximize(tab, c_phase2, max_iter)
+    return _optimize(tab, c_full, max_iter, it1)
+
+
+def _optimize(tab: _Tableau, c_full: np.ndarray, max_iter: int, iterations: int) -> LpResult:
+    """Phase 2 from a primal feasible tableau, then the result and its basis.
+
+    A basic artificial sits in an equality row whose slack is nonbasic and
+    fixed at zero like it; the returned basis names that slack instead.
+    """
+    n, m = tab.ns, tab.m
+    status, it2, rc = _maximize(tab, c_full, max_iter)
     if status == "unbounded":
-        return LpResult("unbounded", None, None, it1 + it2)
+        return LpResult("unbounded", None, None, iterations + it2)
     x = tab.x[:n].copy()
-    return LpResult("optimal", x, float(c @ x), it1 + it2, reduced_costs=rc2[:n].copy())
+    basic = np.where(tab.basis >= n + m, tab.basis - m, tab.basis)
+    at_upper = np.flatnonzero(tab.status[: n + m] == AT_UPPER)
+    return LpResult(
+        "optimal",
+        x,
+        float(c_full[:n] @ x),
+        iterations + it2,
+        reduced_costs=rc[:n].copy(),
+        basis=(basic, at_upper),
+    )

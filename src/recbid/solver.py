@@ -5,7 +5,8 @@
 rows; LP text is only an export, for inspection or for other solvers.
 ``reference_solve`` is a self-contained exact search: branch-and-bound
 over the binary variables with bound propagation and LP-relaxation
-pruning, each relaxation solved by the in-package simplex. Open nodes are
+pruning, each relaxation solved by the in-package simplex (the root cold,
+every other node warm from its parent's basis). Open nodes are
 explored best-bound first; that order is a heuristic that finds good
 incumbents early, while exactness rests on the pruning rules. It exists
 to cross-check HiGHS on desk-scale instances.
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .milp import MilpInstance, Solution
-from .simplex import solve_lp
+from .simplex import LpResult, solve_lp
 
 BND_TOL = 1e-9
 
@@ -286,14 +287,16 @@ def solve_external(
                 f"(dual bound {bound}, nodes {nodes})"
             )
         raise RuntimeError(f"HiGHS finished with unmapped status {res.status}: {res.message}")
+    nodes = res.mip_node_count
     if status in ("infeasible", "unbounded"):
-        return Solution(status=status, objective_value=None, values=None)
+        return Solution(status=status, objective_value=None, values=None, nodes=nodes)
     values = np.array(res.x, dtype=float)
     return Solution(
         status=status,
         objective_value=inst.evaluate_objective(values),
         values=values,
         mip_gap=gap,
+        nodes=nodes,
     )
 
 
@@ -404,13 +407,13 @@ class _Oracle:
                     prio[vid] = p
         self.priority = prio
 
-    def relax(self, lb, ub):
-        """LP relaxation with fixed variables substituted and redundant rows dropped."""
-        fixed = (ub - lb) <= BND_TOL
-        free = ~fixed
-        xfix = lb.copy()
-        xfix[free] = 0.0
-        const = float(self.c[fixed] @ lb[fixed])
+    def relax(self, lb, ub, basis=None) -> LpResult:
+        """LP relaxation under node bounds ``lb``/``ub``.
+
+        Every node solves the same rows and columns; only the bounds differ,
+        so a parent's ``basis`` warm-starts its children. A row that no point
+        in the bounds can satisfy is reported infeasible without an LP.
+        """
         row_min = self.A_pos @ lb + self.A_neg @ ub
         row_max = self.A_pos @ ub + self.A_neg @ lb
         sa = self.sense_arr
@@ -420,35 +423,8 @@ class _Oracle:
             | ((sa == 1) & ((row_min > self.b + 1e-7) | (row_max < self.b - 1e-7)))
         )
         if bad.any():
-            return "infeasible", None, None, None
-        redundant = (
-            ((sa == 0) & (row_max <= self.b + 1e-9))
-            | ((sa == 2) & (row_min >= self.b - 1e-9))
-            | ((sa == 1) & (row_max <= self.b + 1e-9) & (row_min >= self.b - 1e-9))
-        )
-        if not free.any():
-            return "optimal", const, xfix, np.zeros(len(lb))
-        keep = ~redundant
-        free_idx = np.flatnonzero(free)
-        keep &= (self.A[:, free_idx] != 0.0).any(axis=1)
-        keep_idx = np.flatnonzero(keep)
-        b_adj = self.b[keep_idx] - self.A[np.ix_(keep_idx, np.flatnonzero(fixed))] @ lb[fixed]
-        res = solve_lp(
-            self.c[free_idx],
-            self.A[np.ix_(keep_idx, free_idx)],
-            [self.senses[i] for i in keep_idx],
-            b_adj,
-            lb[free_idx],
-            ub[free_idx],
-        )
-        if res.status != "optimal":
-            return res.status, None, None, None
-        x = xfix
-        x[free_idx] = res.x
-        rc = np.zeros(len(lb))
-        if res.reduced_costs is not None:
-            rc[free_idx] = res.reduced_costs
-        return "optimal", res.objective + const, x, rc
+            return LpResult("infeasible", None, None)
+        return solve_lp(self.c, self.A, self.senses, self.b, lb, ub, basis=basis)
 
     def feasible_point(self, x) -> bool:
         lhs = self.A @ x
@@ -499,7 +475,8 @@ def reference_solve(
     Open nodes are explored best-bound first (highest parent LP bound),
     ties last-in first-out. The order only decides how soon good
     incumbents turn up; exactness rests on the pruning rules alone.
-    Refuses instances with more binaries than ``binary_limit``.
+    ``Solution.nodes`` counts the nodes explored. Refuses instances with
+    more binaries than ``binary_limit``.
     """
     binaries = inst.binary_ids()
     if len(binaries) > binary_limit:
@@ -517,11 +494,12 @@ def reference_solve(
     neg_c = -oracle.c
 
     # Max-heap on the parent's LP bound; the falling sequence number pops
-    # the newest node first among equal bounds.
-    heap = [(-np.inf, 0, lb0.copy(), ub0.copy())]
+    # the newest node first among equal bounds. Each node carries its
+    # parent's optimal basis (None at the root, which solves cold).
+    heap = [(-np.inf, 0, lb0.copy(), ub0.copy(), None)]
     seq = 0
     while heap:
-        neg_bound, _, lb, ub = heapq.heappop(heap)
+        neg_bound, _, lb, ub, basis = heapq.heappop(heap)
         if -neg_bound <= best_obj + 1e-9:
             continue  # the parent's bound cannot beat the incumbent
         nodes += 1
@@ -530,12 +508,13 @@ def reference_solve(
         obj_cut = (neg_c, -(best_obj + 1e-9)) if np.isfinite(best_obj) else None
         if not oracle.prop.run(lb, ub, obj_cut=obj_cut):
             continue
-        status, obj, x, rc = oracle.relax(lb, ub)
-        if status == "infeasible":
+        lp = oracle.relax(lb, ub, basis)
+        if lp.status == "infeasible":
             continue
-        if status == "unbounded":
+        if lp.status == "unbounded":
             saw_unbounded = True
             continue
+        obj, x, rc = lp.objective, lp.x, lp.reduced_costs
         if obj <= best_obj + 1e-9:
             continue
         if np.isfinite(best_obj):
@@ -580,10 +559,11 @@ def reference_solve(
         children = [(lo0, up0), (lo1, up1)] if x[branch] >= 0.5 else [(lo1, up1), (lo0, up0)]
         for lo, up in children:
             seq -= 1
-            heapq.heappush(heap, (-obj, seq, lo, up))
+            heapq.heappush(heap, (-obj, seq, lo, up, lp.basis))
 
     if best_x is None:
-        if saw_unbounded:
-            return Solution(status="unbounded", objective_value=None, values=None)
-        return Solution(status="infeasible", objective_value=None, values=None)
-    return Solution(status="optimal", objective_value=float(best_obj), values=best_x, mip_gap=0.0)
+        status = "unbounded" if saw_unbounded else "infeasible"
+        return Solution(status=status, objective_value=None, values=None, nodes=nodes)
+    return Solution(
+        status="optimal", objective_value=float(best_obj), values=best_x, mip_gap=0.0, nodes=nodes
+    )

@@ -1,9 +1,18 @@
-import hypothesis
-import numpy as np
-import pytest
+import os
 
-from recbid.core import DayTrajectory, RecConfig, ScenarioSet
-from recbid.milp import BINARY, MilpInstance, build_instance
+# The oracle's search path (and so its LP count) follows the last bits of
+# BLAS results, and BLAS threads contending with a second process can slow
+# it several-fold, so the suite runs BLAS on one thread. This must happen
+# before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import hypothesis  # noqa: E402
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from recbid.core import DayTrajectory, RecConfig, ScenarioSet  # noqa: E402
+from recbid.milp import BINARY, MilpInstance, build_instance  # noqa: E402
 
 hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True

@@ -55,17 +55,6 @@ class TestValidateConfig:
         assert any("p_export_max" in p for p in problems)
         assert any("p_import_max" in p for p in problems)
 
-    def test_bad_cap_mode(self):
-        cfg = small_config(shared_energy_cap_mode="nonsense")
-        assert any("shared_energy_cap_mode" in p for p in validate_config(cfg))
-
-    def test_rec_exchange_cap_mode_refused(self):
-        # Capping shared energy by the net community exchange forbade every
-        # net import, so the mode is gone.
-        cfg = small_config(shared_energy_cap_mode="rec_exchange")
-        assert validate_config(cfg) == [
-            "shared_energy_cap_mode must be one of ('member_demand',), got 'rec_exchange'"
-        ]
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -81,6 +70,15 @@ def test_config_json_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"horizon_hourz": 6}')
     with pytest.raises(ValueError, match="horizon_hourz"):
+        load_config_json(path)
+
+
+def test_config_json_refuses_retired_cap_mode_key(tmp_path):
+    # Shared energy is always capped by member demand; the setting that
+    # chose the cap is gone, so a file that still names it is refused.
+    path = tmp_path / "cfg.json"
+    path.write_text('{"horizon_hours": 6, "shared_energy_cap_mode": "member_demand"}')
+    with pytest.raises(ValueError, match=r"^unknown config keys: \['shared_energy_cap_mode'\]$"):
         load_config_json(path)
 
 

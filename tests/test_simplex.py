@@ -98,10 +98,8 @@ def vertex_enumeration(c, A, senses, b, lb, ub):
     return best
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 100_000))
-def test_matches_vertex_enumeration_on_random_bounded_lps(seed):
-    rng = np.random.default_rng(seed)
+def random_bounded_lp(rng):
+    """A small feasible LP with boxed variables and mixed row senses."""
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 5))
     A = rng.normal(size=(m, n)).round(2)
@@ -116,6 +114,13 @@ def test_matches_vertex_enumeration_on_random_bounded_lps(seed):
         elif s == ">=":
             b[i] -= rng.uniform(0.0, 1.0)
     c = rng.normal(size=n).round(2)
+    return c, A, senses, b, lb, ub
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 100_000))
+def test_matches_vertex_enumeration_on_random_bounded_lps(seed):
+    c, A, senses, b, lb, ub = random_bounded_lp(np.random.default_rng(seed))
     mine = solve_lp(c, A, senses, b, lb, ub)
     assert mine.status == "optimal"
     best = vertex_enumeration(c, A, senses, b, lb, ub)
@@ -134,3 +139,63 @@ def test_reduced_costs_sign_at_optimum():
 def test_requires_finite_lower_bounds():
     with pytest.raises(ValueError, match="finite"):
         solve_lp([1], [[1]], ["<="], [1], [-np.inf], [1])
+
+
+def assert_optimal_point(res, A, senses, b, lb, ub, tol=1e-7):
+    """Rows and bounds hold to ``tol``; reduced costs have optimal signs."""
+    x, rc = res.x, res.reduced_costs
+    assert np.all(x >= lb - tol) and np.all(x <= ub + tol)
+    lhs = np.asarray(A) @ x
+    for i, sense in enumerate(senses):
+        if sense != ">=":
+            assert lhs[i] <= b[i] + tol
+        if sense != "<=":
+            assert lhs[i] >= b[i] - tol
+    at_lb, at_ub = x <= lb + 1e-9, x >= ub - 1e-9
+    assert np.all(rc[at_lb & ~at_ub] <= 1e-9)
+    assert np.all(rc[at_ub & ~at_lb] >= -1e-9)
+    assert np.all(np.abs(rc[~at_lb & ~at_ub]) <= 1e-9)
+
+
+def test_warm_start_matches_cold_after_tightening():
+    # A branch-and-bound child: the parent's bounds, some tightened and
+    # some fixed, re-solved from the parent's basis and from scratch.
+    statuses = []
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        c, A, senses, b, lb, ub = random_bounded_lp(rng)
+        parent = solve_lp(c, A, senses, b, lb, ub)
+        assert parent.status == "optimal"
+        lo, up = lb.copy(), ub.copy()
+        for j in range(len(lb)):
+            cut = rng.uniform(lb[j], ub[j])
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                lo[j] = up[j] = cut
+            elif kind == 1:
+                lo[j] = cut
+            elif kind == 2:
+                up[j] = cut
+        warm = solve_lp(c, A, senses, b, lo, up, basis=parent.basis)
+        cold = solve_lp(c, A, senses, b, lo, up)
+        assert warm.status == cold.status, seed
+        statuses.append(cold.status)
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (1 + abs(cold.objective))
+            assert_optimal_point(warm, A, senses, b, lo, up)
+    assert 0 < statuses.count("infeasible") < statuses.count("optimal")
+
+
+def test_warm_start_detects_infeasible_branch():
+    # max 2x + y st 1.2 <= x + y <= 1.5 on the unit box: y = 0.5 at the
+    # optimum. Branching y down to 0 leaves x + y <= 1 < 1.2.
+    A, senses, b = [[1, 1], [1, 1]], ["<=", ">="], [1.5, 1.2]
+    parent = solve_lp([2, 1], A, senses, b, [0, 0], [1, 1])
+    assert parent.status == "optimal"
+    assert np.allclose(parent.x, [1.0, 0.5])
+    down = solve_lp([2, 1], A, senses, b, [0, 0], [1, 0], basis=parent.basis)
+    assert down.status == "infeasible"
+    up = solve_lp([2, 1], A, senses, b, [0, 1], [1, 1], basis=parent.basis)
+    assert up.status == "optimal"
+    assert abs(up.objective - 2.0) < 1e-9
+    assert np.allclose(up.x, [0.5, 1.0])

@@ -110,9 +110,41 @@ class TestReferenceSolve:
         assert sol.status == "optimal"
         assert len(calls) <= 1000, f"{len(calls)} LP relaxations"
 
+    def test_warm_started_children_bound_iteration_count(self, monkeypatch):
+        # Child LPs re-optimize from their parent's basis with the dual
+        # simplex; solved cold, seed 8 took 54,119 simplex iterations.
+        iterations = []
+        real = solver_mod.solve_lp
+
+        def counted(*args, **kwargs):
+            res = real(*args, **kwargs)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(solver_mod, "solve_lp", counted)
+        sol = reference_solve(random_instance(8), binary_limit=60)
+        assert sol.status == "optimal"
+        assert sum(iterations) <= 27_000, f"{sum(iterations)} iterations in {len(iterations)} LPs"
+
+    def test_reports_nodes(self, monkeypatch):
+        calls = []
+        real = solver_mod.solve_lp
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("basis") is None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver_mod, "solve_lp", counted)
+        sol = reference_solve(random_instance(0), binary_limit=60)
+        # Every relaxation belongs to a popped node; only the root's is cold.
+        assert calls[0] and not any(calls[1:])
+        assert len(calls) <= sol.nodes
+        assert reference_solve(single_var_instance()).nodes == 1
+
     def test_infeasible_instance(self):
         sol = reference_solve(infeasible_instance())
         assert sol.status == "infeasible"
+        assert sol.nodes == 1
 
 
 def no_incumbent_milp(*args, **kwargs):
@@ -165,6 +197,12 @@ class TestExternalBackend:
         monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: res)
         with pytest.raises(RuntimeError, match=r"\(dual bound unknown, nodes unknown\)$"):
             solve_external(tiny_instance, None, time_limit_s=2.0)
+
+    def test_node_count_reported(self):
+        sol = solve_external(random_instance(0), None)
+        assert isinstance(sol.nodes, int) and sol.nodes >= 0
+        # With no binaries HiGHS solves an LP and reports no node count.
+        assert solve_external(single_var_instance(), None).nodes is None
 
     def test_infeasible_and_unmapped_statuses(self, tmp_path, monkeypatch):
         sol = solve_external(infeasible_instance(), tmp_path)
