@@ -55,6 +55,23 @@ class TestValidateConfig:
         assert any("p_export_max" in p for p in problems)
         assert any("p_import_max" in p for p in problems)
 
+    def test_bad_cap_mode(self, tmp_path):
+        # The shared-energy cap is no longer a setting: the field is gone
+        # from RecConfig, and a config file naming it is refused.
+        with pytest.raises(TypeError, match="shared_energy_cap_mode"):
+            small_config(shared_energy_cap_mode="nonsense")
+        path = tmp_path / "cfg.json"
+        path.write_text('{"horizon_hours": 6, "shared_energy_cap_mode": "nonsense"}')
+        with pytest.raises(ValueError, match="shared_energy_cap_mode"):
+            load_config_json(path)
+
+    def test_rec_exchange_cap_mode_refused(self, tmp_path):
+        # Capping shared energy by the net community exchange forbade every
+        # net import, so a config file asking for it is refused.
+        path = tmp_path / "cfg.json"
+        path.write_text('{"horizon_hours": 6, "shared_energy_cap_mode": "rec_exchange"}')
+        with pytest.raises(ValueError, match=r"^unknown config keys: \['shared_energy_cap_mode'\]$"):
+            load_config_json(path)
 
 
 def test_config_json_roundtrip(tmp_path):
