@@ -20,6 +20,38 @@ from .milp import build_instance
 from .solver import emit_exchange
 
 
+def _sidecar_entry(symbol: str, n_indices: int) -> str:
+    """``str.format`` template of one sidecar entry: the quoted name, then
+    ``n_indices`` indices; ``symbol`` is already quoted."""
+    indices = ",".join(["\n      {}"] * n_indices) + "\n    " if n_indices else ""
+    symbol = symbol.replace("{", "{{").replace("}", "}}")
+    return '  {}: {{\n    "indices": [' + indices + '],\n    "symbol": ' + symbol + "\n  }}"
+
+
+def _sidecar_json(inst) -> str:
+    """``instance.vars.json``: each variable's symbol and indices, by name.
+
+    Byte for byte ``json.dumps(sidecar, indent=2, sort_keys=True) + "\\n"``
+    of ``sidecar = {name: {"symbol": sym, "indices": list(idx)}}``, for the
+    int indices the builder uses. It is filled in from one template per
+    symbol and index count, because ``json.dumps`` with an indent runs the
+    pure-Python encoder, several times slower on a paper-scale day.
+    """
+    quote = json.encoder.encode_basestring_ascii
+    entries = {}
+    for sym, index in inst.index.items():
+        templates = {}
+        for idx, vid in index.items():
+            fill = templates.get(len(idx))
+            if fill is None:
+                fill = templates[len(idx)] = _sidecar_entry(quote(sym), len(idx)).format
+            name = inst.names[vid]
+            entries[name] = fill(quote(name), *idx)
+    if not entries:
+        return "{}\n"
+    return "{\n" + ",\n".join([entries[name] for name in sorted(entries)]) + "\n}\n"
+
+
 def _add_common(ap: argparse.ArgumentParser) -> None:
     ap.add_argument("--config", type=Path, help="JSON config file (defaults used if omitted)")
     ap.add_argument("--data-dir", type=Path, required=True)
@@ -135,15 +167,7 @@ def main(argv=None) -> int:
         )
         lp_path = out / "instance.lp"
         lp_path.write_text(emit_exchange(inst))
-        sidecar = {
-            name: {"symbol": sym, "indices": list(idx)}
-            for sym, entries in inst.index.items()
-            for idx, vid in entries.items()
-            for name in [inst.names[vid]]
-        }
-        (out / "instance.vars.json").write_text(
-            json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
-        )
+        (out / "instance.vars.json").write_text(_sidecar_json(inst))
         print(f"wrote {lp_path}")
     return 0
 

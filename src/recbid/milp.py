@@ -119,7 +119,12 @@ class MilpInstance:
         return vid
 
     def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
-        """Append a row; duplicate terms are summed and zero inputs dropped."""
+        """Append a row; duplicate terms are summed and zero inputs dropped.
+
+        ``sense`` is one of ``<=``, ``>=`` and ``=``; any other is refused.
+        """
+        if sense not in ("<=", ">=", "="):
+            raise ValueError(f"row {name!r} has sense {sense!r}, not <=, >= or =")
         coeffs: dict[int, float] = {}
         for vid, coef in terms:
             if coef != 0.0:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from recbid import cli
 from recbid.cli import main as cli_main
 from recbid.core import RecConfig
 from recbid.harness import (
@@ -20,6 +21,7 @@ from recbid.harness import (
     run_week,
 )
 from recbid.settlement import decide_acceptance
+from recbid.solver import emit_exchange
 
 from conftest import small_config
 from test_solver import no_incumbent_milp
@@ -347,7 +349,7 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "net" in payload
 
-    def test_emit_writes_exchange_and_sidecar(self, tmp_path):
+    def test_emit_writes_exchange_and_sidecar(self, tmp_path, monkeypatch):
         data = flat_week(n_days=1)
         data_dir = tmp_path / "data"
         week_to_csvs(data, data_dir)
@@ -358,14 +360,29 @@ class TestCli:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({k: getattr(cfg, k) for k in RecConfig.__dataclass_fields__}))
         out = tmp_path / "out"
+        built = []
+        real_build = cli.build_instance
+
+        def keep(*args, **kwargs):
+            built.append(real_build(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_instance", keep)
         rc = cli_main([
             "emit", "--config", str(cfg_path), "--data-dir", str(data_dir),
             "--out-dir", str(out), "--nm", "1", "--nr", "1",
         ])
         assert rc == 0
-        assert (out / "instance.lp").exists()
-        sidecar = json.loads((out / "instance.vars.json").read_text())
-        assert sidecar["sell_qty_k0"]["symbol"] == "sell_qty"
+        (inst,) = built
+        assert (out / "instance.lp").read_text() == emit_exchange(inst)
+        expected = {
+            inst.names[vid]: {"symbol": sym, "indices": list(idx)}
+            for sym, entries in inst.index.items()
+            for idx, vid in entries.items()
+        }
+        text = (out / "instance.vars.json").read_text()
+        assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text)["sell_qty_k0"]["symbol"] == "sell_qty"
 
     def test_plan_single_day(self, tmp_path):
         data = flat_week(n_days=1)

@@ -615,6 +615,16 @@ class TestRowView:
         assert senses2 == senses + [">="] and b2.tolist() == b.tolist() + [5.0]
         assert inst.rows[-1] == ("extra", ((1, -1.0), (3, 3.0)), ">=", 5.0)
 
+    @pytest.mark.parametrize("sense", ["<", "=<", "==", ""])
+    def test_add_row_refuses_an_unknown_sense(self, sense):
+        # HiGHS and the oracle would read any other sense as an equality,
+        # and the solution audit would skip the row.
+        inst = MilpInstance()
+        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 1.0)
+        with pytest.raises(ValueError, match=f"^row 'cap_0' has sense {sense!r}, not <=, >= or =$"):
+            inst.add_row("cap_0", [(x, 1.0)], sense, 1.0)
+        assert (inst.n_rows, list(inst.row_ptr), len(inst.row_cols)) == (0, [0], 0)
+
 
 class TestCheckSolution:
     @staticmethod

@@ -1,3 +1,5 @@
+import hashlib
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -7,15 +9,16 @@ import scipy.optimize
 
 import recbid.solver as solver_mod
 from recbid import highs_runner
-from recbid.milp import CONTINUOUS, MilpInstance, check_solution
+from recbid.milp import BINARY, CONTINUOUS, MilpInstance, build_instance, check_solution
 from recbid.solver import (
+    ParsedLp,
     emit_exchange,
     parse_lp,
     reference_solve,
     solve_external,
 )
 
-from conftest import random_instance
+from conftest import random_instance, tiny_inputs
 
 DATA = Path(__file__).parent / "data"
 
@@ -53,6 +56,60 @@ class TestEmit:
         with pytest.raises(ValueError, match="no name"):
             emit_exchange(inst)
 
+    def test_duplicate_variable_name_refused(self):
+        # LP text keys variables by name; parse_lp would merge the two.
+        inst = MilpInstance()
+        for sym in ("x", "y", "z"):
+            inst.add_var(sym, (0,), f"{sym}_0", CONTINUOUS, 0.0, 1.0)
+        inst.add_var("w", (0,), "y_0", CONTINUOUS, 0.0, 1.0)
+        with pytest.raises(ValueError, match=r"^variables 1 and 3 share the name 'y_0'$"):
+            emit_exchange(inst)
+
+    # The exported text, byte for byte: other solvers and saved runs read it.
+    PINNED_SHA256 = {
+        "random0": "e1735a4810345d784aa9d06b7ab5a0c591a66574b540f62fa80d51eebd853a27",
+        "random1": "815f74d9182473d38a0fc27397b087a19e931f9e48ab365a3c47f811003a7cf5",
+        "random2": "22845f9fe103e69e3449834c8471535fb0337fd3d31184959656653a841947ca",
+        "tiny": "e3950acdbe8a6cc34f09fa8bc1cc3fda155ba5f2472f9488441b92f3e02191ab",
+    }
+
+    def test_pinned_texts(self):
+        insts = {f"random{seed}": random_instance(seed) for seed in range(3)}
+        insts["tiny"] = build_instance(*tiny_inputs())
+        got = {
+            label: hashlib.sha256(emit_exchange(inst).encode()).hexdigest()
+            for label, inst in insts.items()
+        }
+        assert got == self.PINNED_SHA256
+
+    def test_numpy_scalars_signed_zeros_and_infinite_bounds(self):
+        inst = MilpInstance()
+        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, -0.0, np.inf)
+        on = inst.add_var("on", (0,), "on_0", BINARY, 0.0, 1.0)
+        z = inst.add_var("z", (), "z", CONTINUOUS, np.float64(-2.5), np.float64(1e-05))
+        mix = [(z, np.float64(1e20)), (x, np.float64(0.95)), (on, -1.0)]
+        inst.add_row("mix", mix, "<=", np.float64(-0.0))
+        inst.add_row("link", [(on, 2.0), (x, 1.0)], ">=", -3.0)
+        inst.add_row("fix", [(z, np.float64(-0.125))], "=", np.float64(7.0))
+        inst.add_row("empty", [], "<=", 1.0)
+        inst.objective.update({z: -3.0, x: np.float64(1.5), on: -0.0})
+        assert emit_exchange(inst) == (
+            "Maximize\n"
+            " obj: + 1.5 x_0 - 3.0 z\n"
+            "Subject To\n"
+            " mix: + 0.95 x_0 - 1.0 on_0 + 1e+20 z <= 0.0\n"
+            " link: + 1.0 x_0 + 2.0 on_0 >= -3.0\n"
+            " fix: - 0.125 z = 7.0\n"
+            " empty:  <= 1.0\n"
+            "Bounds\n"
+            " x_0 >= 0.0\n"
+            " 0.0 <= on_0 <= 1.0\n"
+            " -2.5 <= z <= 1e-05\n"
+            "Binaries\n"
+            " on_0\n"
+            "End\n"
+        )
+
 
 class TestParseLp:
     def test_roundtrip_structure(self):
@@ -82,6 +139,85 @@ class TestParseLp:
         parsed = parse_lp("Maximize\n obj: x + 2 y\nSubject To\n r0: x - y <= 1\nEnd\n")
         assert parsed.objective == {"x": 1.0, "y": 2.0}
         assert parsed.rows[0][1] == {"x": 1.0, "y": -1.0}
+
+    def test_minimize_comments_unnamed_rows_glued_and_repeated_terms(self):
+        parsed = parse_lp(
+            "\\ a comment line\n"
+            "Minimize\n"
+            " cost: 3 x - 2y + x \\ repeated x\n"
+            "Subject To\n"
+            " x + y >= 2\n"
+            " c1: 2x + x - y = 4\n"
+            " - y <= 7\n"
+            "End\n"
+            " ignored: x <= 1\n"
+        )
+        assert parsed == ParsedLp(
+            maximize=False,
+            names=["x", "y"],
+            objective={"x": 4.0, "y": -2.0},
+            rows=[
+                ("r0", {"x": 1.0, "y": 1.0}, ">=", 2.0),
+                ("c1", {"x": 3.0, "y": -1.0}, "=", 4.0),
+                ("r2", {"y": -1.0}, "<=", 7.0),
+            ],
+            lb={"x": 0.0, "y": 0.0},
+            ub={"x": np.inf, "y": np.inf},
+        )
+
+    def test_free_and_upper_only_bounds_and_binaries(self):
+        # The Bounds section leaves out a, so first-seen order stands.
+        parsed = parse_lp(
+            "Maximize\n"
+            " obj: a + 2 b + c\n"
+            "Subject To\n"
+            " r: a + c <= 3\n"
+            "Bounds\n"
+            " c free\n"
+            " b <= 5\n"
+            "Binary\n"
+            " b\n"
+            " c\n"
+            "End\n"
+        )
+        assert parsed == ParsedLp(
+            maximize=True,
+            names=["a", "b", "c"],
+            objective={"a": 1.0, "b": 2.0, "c": 1.0},
+            rows=[("r", {"a": 1.0, "c": 1.0}, "<=", 3.0)],
+            lb={"a": 0.0, "b": 0.0, "c": -np.inf},
+            ub={"a": np.inf, "b": 1.0, "c": 1.0},
+            binaries={"b", "c"},
+        )
+
+    def test_complete_bounds_section_sets_the_order(self):
+        parsed = parse_lp(
+            "Maximize\n"
+            " obj: + 1.0 y + 2.0 x\n"
+            "Subject To\n"
+            " r1: + 1.0 x + 1.0 y <= 4.0\n"
+            "Bounds\n"
+            " 0.0 <= x <= 3.0\n"
+            " y >= -1.5\n"
+            "End\n"
+        )
+        assert parsed == ParsedLp(
+            maximize=True,
+            names=["x", "y"],
+            objective={"y": 1.0, "x": 2.0},
+            rows=[("r1", {"x": 1.0, "y": 1.0}, "<=", 4.0)],
+            lb={"x": 0.0, "y": -1.5},
+            ub={"x": 3.0, "y": np.inf},
+        )
+        assert list(parsed.lb) == list(parsed.ub) == ["y", "x"]  # first seen
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [("Subject To", " r: x + y"), ("Bounds", " x == 3"), ("Bounds", " x >= -inf")],
+    )
+    def test_unparsable_lines_refused(self, section, line):
+        with pytest.raises(ValueError, match=f"^cannot parse .*{re.escape(repr(line))}$"):
+            parse_lp(f"Maximize\n obj: x\n{section}\n{line}\nEnd\n")
 
 
 class TestReferenceSolve:
