@@ -11,6 +11,8 @@ incentive) reuse the same data and seed.
 from __future__ import annotations
 
 import json
+import logging
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import mkdtemp
@@ -39,6 +41,10 @@ from .settlement import (
 from .solver import emit_exchange, reference_solve, solve_external
 
 CASES = ("base", "no_msd", "no_incentive", "neither")
+
+# One INFO line per planned day; silent unless the application configures
+# logging (for example ``logging.basicConfig(level=logging.INFO)``).
+log = logging.getLogger("recbid")
 
 
 @dataclass(frozen=True)
@@ -202,15 +208,23 @@ def run_day(
     soc_initial: float,
     workdir: str | Path | None,
 ) -> DayResult:
-    """Plan, dispatch and settle one day; returns the realized terminal SOC.
+    """Plan, dispatch and settle one day, starting from ``soc_initial``.
+
+    Returns the day's ``DayResult``: the program, the planner's objective
+    and expected cash flow, the acceptance, dispatch and settlement against
+    the realized day, the planned and realized states of charge and the
+    penalties used.
 
     This is the one solve entry point: ``spec.backend`` picks HiGHS (the
     external route) or the in-package reference oracle. With a ``workdir``,
     the day's ``instance.lp`` (and, from HiGHS, ``solution.sol``) is
     written there. A failed solve is re-raised naming the day, the case and
     an ``instance.lp`` that exists: the workdir's, or one written to a fresh
-    scratch directory when there is no workdir.
+    scratch directory when there is no workdir. Each planned day is logged
+    at INFO on the ``recbid`` logger: solver status, gap and nodes, model
+    size, modelled and given price-scenario counts and wall seconds.
     """
+    start = time.perf_counter()
     K = spec.config.horizon_hours
     if K != data.horizon:
         raise ValueError(f"config horizon {K} differs from data horizon {data.horizon}")
@@ -265,6 +279,22 @@ def run_day(
         penalty_sell=inst.data["penalty_sell"],
         penalty_buy=inst.data["penalty_buy"],
     )
+    if log.isEnabledFor(logging.INFO):
+        log.info(
+            "day %d, case %s: %s, gap %.3g, nodes %s; %d vars, %d rows, %d binaries; "
+            "%d of %d price scenarios modelled; %.3f s",
+            day,
+            spec.case,
+            solution.status,
+            solution.mip_gap,
+            solution.nodes,
+            inst.n_vars,
+            inst.n_rows,
+            len(inst.binary_ids()),
+            inst.data["n_m"],
+            inst.data["n_m_full"],
+            time.perf_counter() - start,
+        )
     return DayResult(
         day=day,
         program=program,

@@ -230,7 +230,7 @@ def build_instance(
     ``known_prices`` is the (export, import) tariff pair for the day.
     ``soc_initial`` overrides the configured initial state of charge, which
     lets a rolling simulation chain days together. ``allow_bids=False``
-    pins every bid decision to zero without changing the model shape.
+    pins every bid decision to zero and models one price scenario.
 
     Exclusivity binaries that some optimum provably never needs are not
     created (proofs in ``encode_energy_balance``). ``inst.data`` records
@@ -238,6 +238,25 @@ def build_instance(
     ``base_exp_on`` was left out (import tariff at least the export tariff),
     and ``"exchange_netting"`` whether every ``exp_on`` was (zero
     shared-energy incentive).
+
+    Without bids, the recourse blocks are built for price scenario 0 alone,
+    with probability 1; ``inst.data["price_collapse"]`` records that, and
+    ``"n_m"`` is then 1 while ``"n_m_full"`` keeps the given count. The
+    optimum is unchanged. With ``sell_on`` and ``buy_on`` at upper bound 0,
+    the rows force ``sell_qty``, ``buy_qty``, the picks, the per-pick
+    quantities, ``acc_*``, ``award_*`` and ``act_*`` to 0, and ``short_*``
+    to 0 through ``short_* <= award_*``. What is left of a (k, s, l) block
+    has no coefficient or right-hand side that depends on s: ``res``,
+    ``load`` and ``md`` depend on l, the tariffs on k, and the penalties
+    multiply only the zero shortfalls. So s enters only through the
+    objective weight pm[s] pr[l], and for fixed first-stage variables
+    (``base_rec``, ``base_bess``) the n_m blocks are copies of one problem.
+    The full objective is then sum_s pm[s] f(base, y_s) with sum_s pm[s] =
+    1: it is at most max_y f(base, y), which the one block weighted by 1
+    attains, and that block's solution repeated across s attains it in the
+    full model. The penalties are still resolved from every price scenario,
+    and ``extract_program`` and ``planned_soc_paths`` return the full
+    model's shapes.
     """
     violations = validate_config(config)
     if violations:
@@ -259,6 +278,9 @@ def build_instance(
         raise BuildError([f"known price lengths ({len(ce)}, {len(ci)}) differ from K={K}"])
 
     p_plus, p_minus = resolve_penalties(config, prices)
+    n_m_full = prices.n
+    if not allow_bids:
+        prices = ScenarioSet(prices.channels, prices.values[:1], np.ones(1))
     eps = config.epsilon_max if config.epsilon_max is not None else epsilon_default(energies)
     soc0 = config.soc_initial if soc_initial is None else float(soc_initial)
     if not 0.0 <= soc0 <= 1.0:
@@ -281,6 +303,7 @@ def build_instance(
     inst.data = {
         "K": K,
         "n_m": n_m,
+        "n_m_full": n_m_full,
         "n_r": n_r,
         "config": config,
         "soc_initial": soc0,
@@ -297,6 +320,7 @@ def build_instance(
         "ce": ce.values.copy(),
         "ci": ci.values.copy(),
         "allow_bids": allow_bids,
+        "price_collapse": not allow_bids,
         "base_netting": base_netting,
         "exchange_netting": exchange_netting,
     }
@@ -898,8 +922,8 @@ def extract_program(inst: MilpInstance, solution: Solution) -> DayAheadProgram:
     sell_max, buy_min = inst.data["sell_max"], inst.data["buy_min"]
     rec_base = np.array([x[inst.var("base_rec", k)] for k in range(K)])
     bess_base = np.array([x[inst.var("base_bess", k)] for k in range(K)])
-    sell_choice = np.zeros((K, n_m))
-    buy_choice = np.zeros((K, n_m))
+    sell_choice = np.zeros((K, inst.data["n_m_full"]))
+    buy_choice = np.zeros((K, inst.data["n_m_full"]))
     bids: list[Bid | None] = []
     for k in range(K):
         sell_on = x[inst.var("sell_on", k)] > 0.5
@@ -936,10 +960,13 @@ def extract_program(inst: MilpInstance, solution: Solution) -> DayAheadProgram:
 
 
 def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
-    """State-of-charge trajectory per (price, energy) scenario, shape (n_m, n_r, K+1).
+    """State-of-charge trajectory per (price, energy) scenario, shape
+    (n_m_full, n_r, K+1).
 
     Entry 0 is the initial state; entry k + 1 is the solution's ``soc``
-    variable after hour k, as a fraction of the battery capacity.
+    variable after hour k, as a fraction of the battery capacity. A model
+    with one price scenario in place of the set gives the same paths for
+    every price scenario.
     """
     K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     eb = inst.data["config"].battery_capacity_kwh
@@ -947,7 +974,7 @@ def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
     if eb > 0:
         for (k, s, l), vid in inst.index["soc"].items():
             paths[s, l, k + 1] = values[vid] / eb
-    return paths
+    return np.broadcast_to(paths, (inst.data["n_m_full"], n_r, K + 1)).copy()
 
 
 def expected_cashflow(inst: MilpInstance, values: np.ndarray) -> dict[str, float]:

@@ -515,7 +515,6 @@ class _Oracle:
         self.A = A.toarray()
         self.A_pos = np.maximum(self.A, 0.0)
         self.A_neg = np.minimum(self.A, 0.0)
-        self.sense_arr = np.array([{"<=": 0, "=": 1, ">=": 2}[s] for s in self.senses])
         self.c = inst.objective_vector()
         self.binaries = np.array(inst.binary_ids(), dtype=int)
         self.binary_mask = np.zeros(inst.n_vars, dtype=bool)
@@ -528,6 +527,16 @@ class _Oracle:
                 for vid in entries.values():
                     prio[vid] = p
         self.priority = prio
+        # Row activity window of a feasible point, to 1e-7.
+        sense = np.array(self.senses, dtype=str)
+        self.row_lo = np.where(sense == "<=", -np.inf, self.b - 1e-7)
+        self.row_hi = np.where(sense == ">=", np.inf, self.b + 1e-7)
+        # Per binary, the rows it appears in (all that rounding it can
+        # change), with their coefficients and windows.
+        self.binary_rows = {}
+        for j in self.binaries:
+            rows = np.flatnonzero(self.A[:, j])
+            self.binary_rows[j] = (rows, self.A[rows], self.row_lo[rows], self.row_hi[rows])
 
     def relax(self, lb, ub, basis=None) -> LpResult:
         """LP relaxation under node bounds ``lb``/``ub``.
@@ -538,45 +547,40 @@ class _Oracle:
         """
         row_min = self.A_pos @ lb + self.A_neg @ ub
         row_max = self.A_pos @ ub + self.A_neg @ lb
-        sa = self.sense_arr
-        bad = (
-            ((sa == 0) & (row_min > self.b + 1e-7))
-            | ((sa == 2) & (row_max < self.b - 1e-7))
-            | ((sa == 1) & ((row_min > self.b + 1e-7) | (row_max < self.b - 1e-7)))
-        )
-        if bad.any():
+        if ((row_min > self.row_hi) | (row_max < self.row_lo)).any():
             return LpResult("infeasible", None, None)
         return solve_lp(self.c, self.A, self.senses, self.b, lb, ub, basis=basis)
-
-    def feasible_point(self, x) -> bool:
-        lhs = self.A @ x
-        sa = self.sense_arr
-        if np.any((sa == 0) & (lhs > self.b + 1e-7)):
-            return False
-        if np.any((sa == 2) & (lhs < self.b - 1e-7)):
-            return False
-        return not np.any((sa == 1) & (np.abs(lhs - self.b) > 1e-7))
 
     def polish(self, x, lb, ub):
         """Round lazily fractional binaries that feasibility lets move.
 
         Keeps the continuous part untouched; every accepted rounding keeps
         the point feasible, so the result is always relaxation-feasible.
-        Returns (point, all_binaries_integral).
+        The start point is checked once; a rounding changes only its
+        column's rows, so only those are checked again. Returns (point,
+        all_binaries_integral).
         """
         x2 = x.copy()
+        lhs = self.A @ x2
+        bad = (lhs < self.row_lo) | (lhs > self.row_hi)
+        n_bad = np.count_nonzero(bad)
         clean = True
-        for j in self.binaries:
-            if min(x2[j], 1.0 - x2[j]) <= 1e-9:
-                continue
+        binaries = self.binaries
+        for j in binaries[np.minimum(x2[binaries], 1.0 - x2[binaries]) > 1e-9]:
             near = float(round(x2[j]))
+            rows, A_rows, lo, hi = self.binary_rows[j]
+            # A broken row outside this column's rows stays broken.
+            movable = n_bad == 0 or np.count_nonzero(bad[rows]) == n_bad
             done = False
             for val in (near, 1.0 - near):
-                if val < lb[j] - 1e-9 or val > ub[j] + 1e-9:
+                if not movable or val < lb[j] - 1e-9 or val > ub[j] + 1e-9:
                     continue
                 old = x2[j]
                 x2[j] = val
-                if self.feasible_point(x2):
+                lhs = A_rows @ x2
+                if not ((lhs < lo).any() or (lhs > hi).any()):
+                    bad[rows] = False
+                    n_bad = 0
                     done = True
                     break
                 x2[j] = old

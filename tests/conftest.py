@@ -169,3 +169,17 @@ def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
                     inst.add_row(f"base_export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
                     inst.add_row(f"base_import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
     return inst
+
+
+def with_bids_pinned(inst: MilpInstance) -> MilpInstance:
+    """Pin, in place, every bid binary (``sell_on``, ``buy_on``,
+    ``pick_sell``, ``pick_buy``) of a model built with bids to 0.
+
+    The result is the no-bid model over every price scenario, which the
+    tests use as the reference for the optimum of the one-scenario model
+    that ``build_instance(..., allow_bids=False)`` builds.
+    """
+    for sym in ("sell_on", "buy_on", "pick_sell", "pick_buy"):
+        for vid in inst.index[sym].values():
+            inst.ub[vid] = 0.0
+    return inst

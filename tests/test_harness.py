@@ -1,6 +1,8 @@
 import json
+import logging
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +222,28 @@ class TestRunDay:
         for day in (2, -1):
             with pytest.raises(ValueError, match=f"^day {day}, case no_msd: .* 2 realized days"):
                 run_day(spec, flat_week(n_days=2), day, spec.config.soc_initial, None)
+
+
+class TestDayLog:
+    def test_no_bid_day_logs_one_modelled_price_scenario(self, tmp_path, caplog):
+        # Off by default: the package adds no handler of its own.
+        assert logging.getLogger("recbid").handlers == []
+        data = flat_week()
+        spec = tiny_spec(case="no_msd", n_m=2, out_dir=tmp_path / "quiet")
+        run_week(spec, data)
+        with caplog.at_level(logging.INFO, logger="recbid"):
+            run_week(replace(spec, out_dir=tmp_path / "logged"), data)
+        assert [(r.name, r.levelno) for r in caplog.records] == [("recbid", logging.INFO)] * 2
+        for day, record in enumerate(caplog.records):
+            assert re.fullmatch(
+                rf"day {day}, case no_msd: optimal, gap 0, nodes \d+; 96 vars, 141 rows, "
+                r"18 binaries; 1 of 2 price scenarios modelled; \d+\.\d{3} s",
+                record.getMessage(),
+            ), record.getMessage()
+        # The log line leaves the run's outputs as they were.
+        for name in ("report.json", "soc_planned.csv", "day0/instance.lp"):
+            quiet = (tmp_path / "quiet" / name).read_bytes()
+            assert (tmp_path / "logged" / name).read_bytes() == quiet, name
 
 
 class TestRunWeek:

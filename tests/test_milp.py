@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from recbid.milp import (
     epsilon_default,
     expected_cashflow,
     extract_program,
+    planned_soc_paths,
     resolve_penalties,
 )
 from recbid.simplex import solve_lp
@@ -30,6 +32,7 @@ from conftest import (
     random_instance,
     small_config,
     tiny_inputs,
+    with_bids_pinned,
     with_exclusivity_binaries,
 )
 
@@ -552,6 +555,88 @@ class TestExclusivityNetting:
             assert ("shared_cap_k0_s0_l0" in inst.row_names) is kept
             # Without the flag, the member demand of 20 caps shared energy.
             assert inst.ub[inst.var("shared", 0, 0, 0)] == (50.0 if kept else 20.0)
+
+
+class TestPriceCollapse:
+    """A model without bids keeps one price scenario (proof in
+    milp.build_instance); its optimum equals that of the model over every
+    price scenario with the bids pinned to 0, rebuilt by with_bids_pinned."""
+
+    @staticmethod
+    def assert_same_optimum(inputs, backends=("external",)):
+        config, prices, energies, _known = inputs
+        collapsed = build_instance(*inputs, allow_bids=False)
+        full = with_bids_pinned(build_instance(*inputs))
+        K, n_m, n_r = config.horizon_hours, prices.n, energies.n
+
+        d = collapsed.data
+        assert (d["price_collapse"], d["n_m"], d["n_m_full"]) == (True, 1, n_m)
+        assert (d["penalty_sell"], d["penalty_buy"]) == resolve_penalties(config, prices)
+        assert (d["penalty_sell"], d["penalty_buy"]) == (
+            full.data["penalty_sell"],
+            full.data["penalty_buy"],
+        )
+        # The one price block is block 0 of the full model: every variable
+        # indexed by another price scenario or price pick is gone.
+        other_price = re.compile(r"_[sj][1-9]")
+        assert collapsed.names == [n for n in full.names if not other_price.search(n)]
+        binaries = [full.names[i] for i in full.binary_ids()]
+        assert [collapsed.names[i] for i in collapsed.binary_ids()] == [
+            n for n in binaries if not other_price.search(n)
+        ]
+
+        ref = solve_external(full, None, rel_gap=1e-9)
+        assert ref.status == "optimal"
+        scale = max(1.0, abs(ref.objective_value))
+        for backend in backends:
+            if backend == "external":
+                sol = solve_external(collapsed, None, rel_gap=1e-9)
+            else:
+                sol = reference_solve(collapsed, binary_limit=60)
+            assert sol.status == "optimal", backend
+            assert abs(sol.objective_value - ref.objective_value) <= 1e-6 * scale, backend
+            assert check_solution(collapsed, sol.values) == []
+
+            program = extract_program(collapsed, sol)
+            assert program.bids == (None,) * K
+            assert program.sell_price_choice.shape == program.buy_price_choice.shape
+            assert program.sell_price_choice.shape == (K, n_m)
+            assert not program.sell_price_choice.any() and not program.buy_price_choice.any()
+            paths = planned_soc_paths(collapsed, sol.values)
+            assert paths.shape == (n_m, n_r, K + 1)
+            assert (paths == paths[:1]).all()
+            cash = expected_cashflow(collapsed, sol.values)
+            assert cash["net"] == pytest.approx(sol.objective_value, abs=1e-6 * scale)
+
+    @pytest.mark.parametrize("n_m,n_r", [(2, 1), (3, 3)])
+    @pytest.mark.parametrize("case", ["no_msd", "neither"])
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days_keep_their_optimum(self, day, case, n_m, n_r):
+        spec = RunSpec(config=RecConfig(), case=case, n_m=n_m, n_r=n_r, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), day
+        )
+        assert not allow_bids
+        self.assert_same_optimum((config, prices, energies, known))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_family_keeps_its_optimum(self, seed):
+        self.assert_same_optimum(random_inputs(seed), backends=("external", "reference"))
+
+    def test_bids_allowed_keep_every_price_scenario(self):
+        inst = build_instance(*random_inputs(0))
+        d = inst.data
+        assert (d["price_collapse"], d["n_m"], d["n_m_full"]) == (False, 2, 2)
+
+    def test_penalties_come_from_every_price_scenario(self):
+        # Scenario 1 holds both extremes; the collapsed model keeps the
+        # penalties they give.
+        cfg, _prices, energies, kp = tiny_inputs()
+        prices = price_set([[0.30], [0.50]], [[0.10], [0.05]])
+        inst = build_instance(cfg, prices, energies, kp, allow_bids=False)
+        assert inst.data["sell_max"].tolist() == [[0.30]]
+        assert inst.data["penalty_sell"] == pytest.approx(1.1 * 0.50)
+        assert inst.data["penalty_buy"] == pytest.approx(0.9 * 0.05)
 
 
 class TestSparseRows:
