@@ -319,7 +319,6 @@ def build_instance(
         "md": md.copy(),
         "ce": ce.values.copy(),
         "ci": ci.values.copy(),
-        "allow_bids": allow_bids,
         "price_collapse": not allow_bids,
         "base_netting": base_netting,
         "exchange_netting": exchange_netting,

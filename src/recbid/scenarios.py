@@ -274,7 +274,7 @@ def reduction_distance(sset: ScenarioSet, kept: list[int]) -> float:
     return float(sum(sset.probabilities[i] * D[i, kept].min() for i in deleted))
 
 
-def reduce_scenarios(sset: ScenarioSet, target: int, return_indices: bool = False):
+def reduce_scenarios(sset: ScenarioSet, target: int) -> ScenarioSet:
     """Shrink a scenario set to ``target`` members by fast-forward selection.
 
     Deleted scenarios hand their probability to the nearest kept scenario
@@ -290,10 +290,9 @@ def reduce_scenarios(sset: ScenarioSet, target: int, return_indices: bool = Fals
     for i in range(sset.n):
         if i not in kept_set:
             probs[nearest[i]] += sset.probabilities[i]
-    reduced = ScenarioSet(
+    return ScenarioSet(
         channels=sset.channels, values=sset.values[kept].copy(), probabilities=probs
     )
-    return (reduced, kept) if return_indices else reduced
 
 
 def _read_csv(path: str | Path, header: list[str]) -> np.ndarray:

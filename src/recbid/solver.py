@@ -3,6 +3,8 @@
 ``solve_external`` solves an instance with HiGHS (through
 ``scipy.optimize.milp``) in this process, from the instance's own sparse
 rows; LP text is only an export, for inspection or for other solvers.
+``parse_lp`` reads back exactly the grammar ``emit_exchange`` writes and
+refuses any other line.
 ``reference_solve`` is a self-contained exact search: branch-and-bound
 over the binary variables with bound propagation and LP-relaxation
 pruning, each relaxation solved by the in-package simplex (the root cold,
@@ -112,7 +114,9 @@ def emit_exchange(inst: MilpInstance) -> str:
 
 @dataclass
 class ParsedLp:
-    """LP text decoded back into arrays (the canonical subset we emit)."""
+    """LP text read back: ``names`` in Bounds order, ``rows`` as ``(name,
+    coefficients by variable name, sense, rhs)`` in file order. ``maximize``
+    is always True, the one sense emit_exchange writes."""
 
     maximize: bool
     names: list[str]
@@ -123,37 +127,9 @@ class ParsedLp:
     binaries: set[str] = field(default_factory=set)
 
 
-_NUM = r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+"
-_NAME = r"[A-Za-z_][\w.]*"
-_VALUE = r"[+-]?[\d.eE+-]+"
-_TERM_RE = re.compile(rf"([+-]?)\s*({_NUM})?\s*({_NAME})")
-_NUM_RE = re.compile(_NUM)
-_NAME_RE = re.compile(_NAME)
-_VALUE_RE = re.compile(_VALUE)
-_ROW_END_RE = re.compile(rf"(<=|>=|=)\s*({_VALUE})\s*$")
-_RANGE_RE = re.compile(rf"({_VALUE})\s*<=\s*({_NAME})\s*<=\s*({_VALUE})$")
-_ONE_SIDED_RE = re.compile(rf"({_NAME})\s*(<=|>=)\s*({_VALUE})$")
-_FREE_RE = re.compile(rf"({_NAME})\s+free$", re.IGNORECASE)
-
-_HEADERS = {
-    **dict.fromkeys(("maximize", "maximise", "max"), "max"),
-    **dict.fromkeys(("minimize", "minimise", "min"), "min"),
-    **dict.fromkeys(("subject to", "such that", "st", "s.t."), "rows"),
-    "bounds": "bounds",
-    **dict.fromkeys(("binaries", "binary", "bin"), "bin"),
-    "end": "end",
-}
-_HEADER_LEN = max(map(len, _HEADERS))
-
-
-def _parse_expr(expr: str) -> dict[str, float]:
-    coeffs: dict[str, float] = {}
-    for sign, num, name in _TERM_RE.findall(expr):
-        coef = float(num) if num else 1.0
-        if sign == "-":
-            coef = -coef
-        coeffs[name] = coeffs.get(name, 0.0) + coef
-    return coeffs
+_NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+")
+_NAME_RE = re.compile(r"[A-Za-z_][\w.]*")
+_VALUE_RE = re.compile(r"[+-]?[\d.eE+-]+")
 
 
 def _value(tok: str) -> float | None:
@@ -164,59 +140,35 @@ def _value(tok: str) -> float | None:
     return None
 
 
+def _refused(section: str, raw: str | None) -> ValueError:
+    """The error for a line of LP text, or for its end (``raw`` None)."""
+    if raw is None:
+        return ValueError("LP text ends before its End line")
+    return ValueError(f"cannot parse {section} line: {raw!r}")
+
+
 def parse_lp(text: str) -> ParsedLp:
-    """Parse LP text: the subset emit_exchange writes, and a little more.
+    """Parse the LP text emit_exchange writes, and refuse anything else.
 
-    The grammar, one statement per line:
-    - ``\\`` starts a comment that runs to the end of the line;
-    - section headers, in any case: ``Maximize`` / ``Maximise`` / ``Max``,
-      ``Minimize`` / ``Minimise`` / ``Min``, ``Subject To`` / ``Such That``
-      / ``st`` / ``s.t.``, ``Bounds``, ``Binaries`` / ``Binary`` / ``Bin``,
-      and ``End``, after which nothing is read;
-    - objective lines, each with an optional ``name:`` label;
-    - rows ``name: terms sense rhs`` with sense ``<=``, ``>=`` or ``=``; a
-      row without a label is named ``r<n>``, ``n`` its position;
-    - terms ``[sign] [number] name``: the number defaults to 1 and may be
-      glued to the name (``2x``), and repeated names in one line are summed;
-    - bounds ``lo <= x <= hi``, ``x >= lo``, ``x <= hi`` and ``x free``;
-      a variable without them has bounds 0 and +inf;
-    - binaries, one name per line, each capping its upper bound at 1.
-
-    ``names`` lists the variables in the order they are first seen, or in
-    the order of the Bounds section when that names every variable.
-
-    Lines in the spacing emit_exchange writes (``sign number name`` terms
-    with distinct names, the sense and right-hand side as the last two
-    tokens) are decoded from their whitespace-split tokens, and each
-    distinct number and name is checked against the grammar once. Any other
-    line is read with regular expressions, to the same result.
+    The lines, in this order, with tokens split at whitespace: ``Maximize``;
+    one objective line ``label: terms``; ``Subject To``; rows ``name: terms
+    sense rhs`` with sense ``<=``, ``>=`` or ``=``; ``Bounds``; one line
+    ``lo <= x <= hi`` or ``x >= lo`` per variable; optionally ``Binaries``
+    and one declared name per line, which caps its upper bound at 1;
+    ``End``. Terms are ``sign number name`` with distinct names in a line,
+    and every name in them needs a Bounds line. ``names`` is the Bounds
+    order. Any other line raises ``ValueError("cannot parse <section> line:
+    '<line>'")``, and so does text that ends before ``End``. Each distinct
+    number and name is checked against the grammar once.
     """
-    section = None
-    maximize = True
-    objective: dict[str, float] = {}
-    rows: list[tuple[str, dict[str, float], str, float]] = []
-    lb_set: dict[str, float] = {}
-    ub_set: dict[str, float] = {}
-    binaries: set[str] = set()
-    seen: dict = {}  # first-seen order of the names; the values are unused
-    in_bounds: dict = {}  # order of the names in the Bounds section
-    # Each distinct token is checked against the grammar once: signed
-    # coefficients and values are kept as floats, or None when they fail.
+    # Signed coefficients and values are kept as floats, or None when the
+    # token fails the grammar.
     signed = {
         "+": _Memo(lambda num: 0.0 + float(num) if _NUM_RE.fullmatch(num) else None),
         "-": _Memo(lambda num: 0.0 - float(num) if _NUM_RE.fullmatch(num) else None),
     }
     value = _Memo(_value)
-    names_ok: set[str] = set()
-
-    def all_names(tokens) -> bool:
-        if names_ok.issuperset(tokens):
-            return True
-        new = [tok for tok in tokens if tok not in names_ok]
-        if not all(map(_NAME_RE.fullmatch, new)):
-            return False
-        names_ok.update(new)
-        return True
+    names_ok: set[str] = set()  # the names in the objective and the rows
 
     def split_terms(tokens: list[str], end: int) -> dict[str, float] | None:
         """``tokens[:end]`` as ``sign number name`` triples with distinct
@@ -228,98 +180,68 @@ def parse_lp(text: str) -> ParsedLp:
             return None
         coefs = list(map(getitem, map(signed.__getitem__, signs), tokens[1:end:3]))
         coeffs = dict(zip(tokens[2:end:3], coefs))
-        if None in coefs or len(coeffs) < len(coefs) or not all_names(coeffs):
+        if None in coefs or len(coeffs) < len(coefs):
             return None
+        if not names_ok.issuperset(coeffs):
+            new = coeffs.keys() - names_ok
+            if not all(map(_NAME_RE.fullmatch, new)):
+                return None
+            names_ok.update(new)
         return coeffs
 
-    for raw in text.splitlines():
-        line = raw.strip()
-        if "\\" in line:
-            line = line.split("\\", 1)[0].strip()
-        if not line:
-            continue
-        if len(line) <= _HEADER_LEN and (header := _HEADERS.get(line.lower())):
-            if header == "end":
+    lines = iter(text.splitlines())
+    if (raw := next(lines, None)) != "Maximize":
+        raise _refused("first", raw)
+    raw = next(lines, None)
+    label, colon, body = (raw or "").partition(":")
+    tokens = body.split()
+    objective = split_terms(tokens, len(tokens)) if colon and len(label.split()) == 1 else None
+    if objective is None or (raw := next(lines, None)) != "Subject To":
+        raise _refused("Maximize", raw)
+    rows: list[tuple[str, dict[str, float], str, float]] = []
+    for raw in lines:
+        if raw == "Bounds":
+            break
+        label, colon, body = raw.partition(":")
+        tokens = body.split()
+        sensed = len(tokens) >= 2 and tokens[-2] in ("<=", ">=", "=")
+        rhs = value[tokens[-1]] if sensed else None
+        coeffs = split_terms(tokens, len(tokens) - 2) if colon and rhs is not None else None
+        if coeffs is None or len(label := label.split()) != 1:
+            raise _refused("Subject To", raw)
+        rows.append((label[0], coeffs, tokens[-2], rhs))
+    lb, ub = {}, {}  # bounds by name, in Bounds order
+    for raw in lines:
+        if raw in ("Binaries", "End"):
+            break
+        tokens = raw.split()
+        if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
+            lo, name, hi = value[tokens[0]], tokens[2], value[tokens[4]]
+        elif len(tokens) == 3 and tokens[1] == ">=":
+            lo, name, hi = value[tokens[2]], tokens[0], np.inf
+        else:
+            raise _refused("Bounds", raw)
+        valid = name in names_ok or _NAME_RE.fullmatch(name)
+        if lo is None or hi is None or name in lb or not valid:
+            raise _refused("Bounds", raw)
+        lb[name], ub[name] = lo, hi
+    binaries: set[str] = set()
+    if raw == "Binaries":
+        for raw in lines:
+            if raw == "End":
                 break
-            if header in ("max", "min"):
-                section, maximize = "obj", header == "max"
-            else:
-                section = header
-            continue
-        if section == "obj":
-            _, colon, body = line.partition(":")
-            if not colon:
-                body = line
-            tokens = body.split()
-            coeffs = split_terms(tokens, len(tokens))
-            if coeffs is None:
-                coeffs = _parse_expr(body)
-            seen.update(coeffs)
-            for name, c in coeffs.items():
-                objective[name] = objective.get(name, 0.0) + c
-        elif section == "rows":
-            rname, colon, body = line.partition(":")
-            if colon:
-                rname = rname.strip()
-            else:
-                rname, body = f"r{len(rows)}", line
-            tokens = body.split()
-            coeffs = None
-            if len(tokens) >= 2 and tokens[-2] in ("<=", ">=", "="):
-                sense, rhs = tokens[-2], value[tokens[-1]]
-                if rhs is not None:
-                    coeffs = split_terms(tokens, len(tokens) - 2)
-            if coeffs is None:
-                m = _ROW_END_RE.search(body)
-                if not m:
-                    raise ValueError(f"cannot parse constraint line: {raw!r}")
-                sense, rhs = m.group(1), float(m.group(2))
-                coeffs = _parse_expr(body[: m.start()])
-            seen.update(coeffs)
-            rows.append((rname, coeffs, sense, rhs))
-        elif section == "bounds":
-            tokens = line.split()
-            if (
-                len(tokens) == 5
-                and tokens[1] == tokens[3] == "<="
-                and all_names(tokens[2:3])
-                and (lo := value[tokens[0]]) is not None
-                and (hi := value[tokens[4]]) is not None
-            ):
-                name = tokens[2]
-                lb_set[name], ub_set[name] = lo, hi
-            elif (
-                len(tokens) == 3
-                and tokens[1] in ("<=", ">=")
-                and all_names(tokens[:1])
-                and (bound := value[tokens[2]]) is not None
-            ):
-                name = tokens[0]
-                (lb_set if tokens[1] == ">=" else ub_set)[name] = bound
-            elif m := _RANGE_RE.match(line):
-                name = m.group(2)
-                lb_set[name], ub_set[name] = float(m.group(1)), float(m.group(3))
-            elif m := _ONE_SIDED_RE.match(line):
-                name = m.group(1)
-                (lb_set if m.group(2) == ">=" else ub_set)[name] = float(m.group(3))
-            elif m := _FREE_RE.match(line):
-                name = m.group(1)
-                lb_set[name] = -np.inf
-            else:
-                raise ValueError(f"cannot parse bounds line: {raw!r}")
-            seen.setdefault(name)
-            in_bounds.setdefault(name)
-        elif section == "bin":
-            seen.setdefault(line)
-            binaries.add(line)
-            ub_set[line] = min(ub_set.get(line, np.inf), 1.0)
-    # A complete Bounds section fixes the canonical variable order.
-    names = list(in_bounds if in_bounds.keys() >= seen.keys() else seen)
-    lb = dict.fromkeys(seen, 0.0)
-    lb.update(lb_set)
-    ub = dict.fromkeys(seen, np.inf)
-    ub.update(ub_set)
-    return ParsedLp(maximize, names, objective, rows, lb, ub, binaries)
+            name = raw.strip()
+            if name not in lb or name in binaries:
+                raise _refused("Binaries", raw)
+            binaries.add(name)
+            ub[name] = min(ub[name], 1.0)
+    if raw != "End":
+        raise _refused("End", None)
+    if (raw := next(lines, None)) is not None:
+        raise _refused("End", raw)
+    if missing := names_ok.difference(lb):
+        raise ValueError(f"variable {min(missing)!r} has no Bounds line")
+    return ParsedLp(True, list(lb), objective, rows, lb, ub, binaries)
 
 
 _HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
@@ -328,9 +250,9 @@ _HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
 def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, gap: float):
     """Minimize ``c @ x`` subject to ``row_lo <= A @ x <= row_hi`` with HiGHS.
 
-    The package's one ``scipy.optimize.milp`` call. ``solve_external`` passes
-    an instance's own arrays, ``highs_runner.solve_parsed`` the arrays of a
-    parsed LP file.
+    The package's one ``scipy.optimize.milp`` call, on ``_highs_arrays`` of
+    an instance: ``solve_external``'s own, or the one
+    ``highs_runner.solve_parsed`` rebuilds from a parsed LP file.
     """
     from scipy.optimize import Bounds, LinearConstraint, milp
 
@@ -346,9 +268,8 @@ def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, ga
 def _highs_arrays(inst: MilpInstance):
     """``highs_solve`` inputs of an instance, maximizing its objective.
 
-    Bit for bit what ``highs_runner.solve_parsed`` decodes from the
-    instance's LP text, which writes -0.0 as 0.0 and caps binaries at 1; the
-    LP export round-trip test relies on it.
+    Signed zeros become 0.0 and binaries are capped at 1, as in LP text, so
+    an instance rebuilt from its own text gives the same arrays bit for bit.
     """
     A, senses, b = inst.sparse_rows()
     b += 0.0

@@ -393,10 +393,12 @@ class TestScenarioReduction:
 
         sset = ScenarioSet(("pv", "load", "member_demand"), values, np.full(300, 1 / 300))
         t0 = time.perf_counter()
-        reduced, kept = reduce_scenarios(sset, 10, return_indices=True)
+        reduced = reduce_scenarios(sset, 10)
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
         assert reduced.n == 10
+        kept = sorted(fast_forward_select(sset, 10))
+        assert np.array_equal(reduced.values, sset.values[kept])
         originals = {sset.values[i].tobytes() for i in range(300)}
         for i in range(10):
             assert reduced.values[i].tobytes() in originals

@@ -9,6 +9,8 @@ import scipy.optimize
 
 import recbid.solver as solver_mod
 from recbid import highs_runner
+from recbid.core import RecConfig
+from recbid.harness import CASES, RunSpec, day_inputs, load_week_data
 from recbid.milp import BINARY, CONTINUOUS, MilpInstance, build_instance, check_solution
 from recbid.solver import (
     ParsedLp,
@@ -21,6 +23,7 @@ from recbid.solver import (
 from conftest import random_instance, tiny_inputs
 
 DATA = Path(__file__).parent / "data"
+WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
 
 
 def single_var_instance():
@@ -135,60 +138,26 @@ class TestParseLp:
         assert sense == "<="
         assert rhs == 6.0
 
-    def test_coefficient_free_term(self):
-        parsed = parse_lp("Maximize\n obj: x + 2 y\nSubject To\n r0: x - y <= 1\nEnd\n")
-        assert parsed.objective == {"x": 1.0, "y": 2.0}
-        assert parsed.rows[0][1] == {"x": 1.0, "y": -1.0}
-
-    def test_minimize_comments_unnamed_rows_glued_and_repeated_terms(self):
-        parsed = parse_lp(
-            "\\ a comment line\n"
-            "Minimize\n"
-            " cost: 3 x - 2y + x \\ repeated x\n"
-            "Subject To\n"
-            " x + y >= 2\n"
-            " c1: 2x + x - y = 4\n"
-            " - y <= 7\n"
-            "End\n"
-            " ignored: x <= 1\n"
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days_round_trip(self, day, case):
+        # The no-bid cases build the price-collapsed model.
+        spec = RunSpec(config=RecConfig(), case=case, n_m=3, n_r=3, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), day
         )
-        assert parsed == ParsedLp(
-            maximize=False,
-            names=["x", "y"],
-            objective={"x": 4.0, "y": -2.0},
-            rows=[
-                ("r0", {"x": 1.0, "y": 1.0}, ">=", 2.0),
-                ("c1", {"x": 3.0, "y": -1.0}, "=", 4.0),
-                ("r2", {"y": -1.0}, "<=", 7.0),
-            ],
-            lb={"x": 0.0, "y": 0.0},
-            ub={"x": np.inf, "y": np.inf},
-        )
-
-    def test_free_and_upper_only_bounds_and_binaries(self):
-        # The Bounds section leaves out a, so first-seen order stands.
-        parsed = parse_lp(
-            "Maximize\n"
-            " obj: a + 2 b + c\n"
-            "Subject To\n"
-            " r: a + c <= 3\n"
-            "Bounds\n"
-            " c free\n"
-            " b <= 5\n"
-            "Binary\n"
-            " b\n"
-            " c\n"
-            "End\n"
-        )
-        assert parsed == ParsedLp(
-            maximize=True,
-            names=["a", "b", "c"],
-            objective={"a": 1.0, "b": 2.0, "c": 1.0},
-            rows=[("r", {"a": 1.0, "c": 1.0}, "<=", 3.0)],
-            lb={"a": 0.0, "b": 0.0, "c": -np.inf},
-            ub={"a": np.inf, "b": 1.0, "c": 1.0},
-            binaries={"b", "c"},
-        )
+        inst = build_instance(config, prices, energies, known, allow_bids=allow_bids)
+        names = inst.names
+        parsed = parse_lp(emit_exchange(inst))
+        assert parsed.names == names
+        assert parsed.objective == {names[v]: c for v, c in inst.objective.items() if c != 0.0}
+        assert parsed.rows == [
+            (name, {names[v]: c for v, c in terms}, sense, rhs)
+            for name, terms, sense, rhs in inst.rows
+        ]
+        assert [parsed.lb[name] for name in names] == inst.lb
+        assert [parsed.ub[name] for name in names] == inst.ub
+        assert parsed.binaries == {names[i] for i in inst.binary_ids()}
 
     def test_complete_bounds_section_sets_the_order(self):
         parsed = parse_lp(
@@ -209,15 +178,65 @@ class TestParseLp:
             lb={"x": 0.0, "y": -1.5},
             ub={"x": 3.0, "y": np.inf},
         )
-        assert list(parsed.lb) == list(parsed.ub) == ["y", "x"]  # first seen
+        assert list(parsed.lb) == list(parsed.ub) == ["x", "y"]  # Bounds order
+
+    # One line of each section, in the form emit_exchange writes.
+    CANONICAL = [
+        "Maximize",
+        " obj: + 1.0 x",
+        "Subject To",
+        " r: + 1.0 x <= 1.0",
+        "Bounds",
+        " 0.0 <= x <= 1.0",
+        "Binaries",
+        " x",
+        "End",
+    ]
+    # Where a line is put: at the end of its section ("first" goes first).
+    SLOT = {"first": 0, "Maximize": 2, "Subject To": 4, "Bounds": 6, "Binaries": 8, "End": 9}
 
     @pytest.mark.parametrize(
         "section, line",
-        [("Subject To", " r: x + y"), ("Bounds", " x == 3"), ("Bounds", " x >= -inf")],
+        [
+            ("Subject To", " r: x + y"),
+            ("Bounds", " x == 3"),
+            ("Bounds", " x >= -inf"),
+            ("first", "junk"),
+            ("first", "Minimize"),
+            ("first", "\\ a comment"),
+            ("Maximize", " obj2: + 1.0 x"),
+            ("Maximize", "Subject to"),
+            ("Subject To", " r0: x - y <= 1"),
+            ("Subject To", " + 1.0 x >= 2.0"),
+            ("Subject To", " c1: 2x <= 4.0"),
+            ("Subject To", " c1: + 2.0 x + 1.0 x = 4.0"),
+            ("Subject To", " r1: + 1.0 x <= 1.0 \\ a comment"),
+            ("Bounds", " c free"),
+            ("Bounds", " b <= 5"),
+            ("Bounds", " 0.0 <= x <= 1.0"),
+            ("Binaries", " 2 y"),
+            ("Binaries", " z"),
+            ("Binaries", " x"),
+            ("End", " ignored: + 1.0 x <= 1.0"),
+        ],
     )
     def test_unparsable_lines_refused(self, section, line):
-        with pytest.raises(ValueError, match=f"^cannot parse .*{re.escape(repr(line))}$"):
-            parse_lp(f"Maximize\n obj: x\n{section}\n{line}\nEnd\n")
+        lines = list(self.CANONICAL)
+        lines.insert(self.SLOT[section], line)
+        message = f"^cannot parse {section} line: {re.escape(repr(line))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_lp("\n".join(lines) + "\n")
+
+    def test_variable_without_bounds_line_refused(self):
+        lines = list(self.CANONICAL)
+        lines[3] = " r: + 1.0 x + 1.0 y <= 1.0"
+        with pytest.raises(ValueError, match="^variable 'y' has no Bounds line$"):
+            parse_lp("\n".join(lines) + "\n")
+
+    def test_text_without_end_refused(self):
+        for cut in range(1, len(self.CANONICAL)):
+            with pytest.raises(ValueError, match="^LP text ends before its End line$"):
+                parse_lp("\n".join(self.CANONICAL[:cut]) + "\n")
 
 
 class TestReferenceSolve:
