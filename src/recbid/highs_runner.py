@@ -8,6 +8,8 @@ from LP text, such as an exported ``instance.lp``, and solves it as
 
 from __future__ import annotations
 
+import numpy as np
+
 from .milp import BINARY, CONTINUOUS, MilpInstance
 from .solver import ParsedLp, _highs_arrays, highs_solve
 
@@ -20,6 +22,13 @@ def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
         kind = BINARY if name in parsed.binaries else CONTINUOUS
         vid[name] = inst.add_var(name, (), name, kind, parsed.lb[name], parsed.ub[name])
     inst.objective = {vid[name]: coef for name, coef in parsed.objective.items()}
-    for name, coeffs, sense, rhs in parsed.rows:
-        inst.add_row(name, [(vid[var], coef) for var, coef in coeffs.items()], sense, rhs)
+    rows = parsed.rows
+    inst.add_rows(
+        [name for name, _coeffs, _sense, _rhs in rows],
+        np.cumsum([0] + [len(coeffs) for _name, coeffs, _sense, _rhs in rows]),
+        [vid[var] for _name, coeffs, _sense, _rhs in rows for var in coeffs],
+        [coef for _name, coeffs, _sense, _rhs in rows for coef in coeffs.values()],
+        [sense for _name, _coeffs, sense, _rhs in rows],
+        [rhs for _name, _coeffs, _sense, rhs in rows],
+    )
     return highs_solve(*_highs_arrays(inst), time_limit, gap)

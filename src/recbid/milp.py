@@ -10,13 +10,24 @@ linearization with the tightest available bound.
 
 Index convention: k = hour, s = price scenario, l = energy scenario,
 j = candidate price choice (ranges over price scenarios).
+
+The model is assembled in numpy blocks over those index grids: the
+variables of each grid in one ``MilpInstance.add_vars`` call, and every
+row family as part of a block that ``MilpInstance.add_rows`` stores in
+one call. Ids and rows come out in the order of loops over the grids'
+cells, which fixes the model's variable order and so which of several
+tied plans a solver returns.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, compress, product, repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +45,8 @@ ROUND_TOL = 1e-5
 
 CONTINUOUS = "continuous"
 BINARY = "binary"
+_SENSES = frozenset(("<=", ">=", "="))
+_ROW_CHUNK = 4096
 
 
 class BuildError(ValueError):
@@ -118,24 +131,133 @@ class MilpInstance:
         self.index.setdefault(sym, {})[idx] = vid
         return vid
 
-    def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
-        """Append a row; duplicate terms are summed and zero inputs dropped.
+    def add_vars(self, shape: tuple[int, ...], members) -> np.ndarray:
+        """Append the variables of a grid of cells; return their ids.
 
-        ``sense`` is one of ``<=``, ``>=`` and ``=``; any other is refused.
+        Each member is ``(sym, names, kind, lo, hi, present)``: one name per
+        cell in C order, bounds that broadcast to ``shape``, and a boolean
+        mask, broadcast likewise, of the cells that have the variable (None
+        for all of them). Cell by cell, in C order, each present member
+        takes the next id, as a loop over the cells that called ``add_var``
+        for each member in turn would; ``index[sym]`` maps a cell's index
+        tuple to its id, and symbols enter ``index`` in that loop's order
+        too. The returned ids have the shape ``shape + (len(members),)``, so
+        ``ids[..., i]`` holds member ``i``'s, with -1 where it is absent. A
+        member absent everywhere may give no names.
         """
-        if sense not in ("<=", ">=", "="):
-            raise ValueError(f"row {name!r} has sense {sense!r}, not <=, >= or =")
-        coeffs: dict[int, float] = {}
-        for vid, coef in terms:
-            if coef != 0.0:
-                coeffs[vid] = coeffs.get(vid, 0.0) + coef
-        cols = sorted(coeffs)
-        self.row_cols.extend(cols)
-        self.row_vals.extend([coeffs[vid] for vid in cols])
-        self.row_ptr.append(len(self.row_cols))
-        self.row_names.append(name)
-        self.row_senses.append(sense)
-        self.row_rhs.append(rhs)
+        m, n_cells = len(members), math.prod(shape)
+        present = np.ones(shape + (m,), dtype=bool)
+        masked = [i for i, member in enumerate(members) if member[5] is not None]
+        for i in masked:
+            present[..., i] = members[i][5]
+        flat = present.reshape(-1)
+        keep = flat.tolist()
+        start = len(self.names)
+        ids = np.where(flat, np.cumsum(flat) + (start - 1), -1).reshape(shape + (m,))
+
+        def cell_by_cell(values):
+            """Per-member values, present cells only, in id order."""
+            return compress(chain.from_iterable(zip(*values)), keep)
+
+        def per_cell(x):
+            if isinstance(x, np.ndarray):
+                return np.broadcast_to(x, shape).reshape(-1).tolist()
+            return repeat(x, n_cells)
+
+        self.names.extend(cell_by_cell(member[1] or repeat("") for member in members))
+        self.kinds.extend(cell_by_cell(repeat(member[2], n_cells) for member in members))
+        self.lb.extend(cell_by_cell(per_cell(member[3]) for member in members))
+        self.ub.extend(cell_by_cell(per_cell(member[4]) for member in members))
+        keys = list(product(*map(range, shape)))
+        by_member = ids.reshape(-1, m).T.tolist()
+        order, cells = range(m), None
+        if masked:
+            cells = flat.reshape(-1, m).T.tolist()
+            live = [i for i in range(m) if True in cells[i]]
+            order = sorted(live, key=lambda i: cells[i].index(True))
+        for i in order:
+            pairs = zip(keys, by_member[i])
+            if cells is not None:
+                pairs = compress(pairs, cells[i])
+            self.index.setdefault(members[i][0], {}).update(pairs)
+        return ids
+
+    def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
+        """Append one row of ``(vid, coef)`` terms; see ``add_rows``."""
+        terms = list(terms)
+        cols = np.array([vid for vid, _coef in terms], dtype=np.int64)
+        vals = np.array([coef for _vid, coef in terms], dtype=float)
+        self.add_rows([name], [0, len(terms)], cols, vals, [sense], [rhs])
+
+    def add_rows(self, names, ptr, cols, vals, senses, rhs) -> None:
+        """Append rows given in CSR form; the one way rows are stored.
+
+        Row ``i`` is named ``names[i]``, has the terms ``cols[ptr[i]:ptr[i +
+        1]]`` with coefficients ``vals[...]``, the sense ``senses[i]`` and
+        the right-hand side ``rhs[i]``. In each row, zero coefficients of
+        either sign are dropped, the rest sorted by variable id, and
+        duplicate ids summed in input order. A sense other than ``<=``,
+        ``>=`` and ``=``, or inputs of mismatched lengths, are refused
+        before any row is stored.
+        """
+        n = len(names)
+        ptr = np.asarray(ptr, dtype=np.int64)
+        cols = np.ascontiguousarray(cols, dtype=np.int64)
+        vals = np.ascontiguousarray(vals, dtype=float)
+        rhs = np.ascontiguousarray(rhs, dtype=float)
+        if not (
+            ptr.shape == (n + 1,)
+            and rhs.shape == (n,) == (len(senses),)
+            and cols.shape == vals.shape == (ptr[-1],)
+            and ptr[0] == 0
+            and (ptr[1:] >= ptr[:-1]).all()
+        ):
+            raise ValueError(
+                f"{n} row names, {len(senses)} senses, {rhs.shape} right-hand sides, "
+                f"{ptr.shape} row pointers, {cols.shape} columns and {vals.shape} values"
+            )
+        if not _SENSES.issuperset(senses):
+            i = next(i for i, sense in enumerate(senses) if sense not in _SENSES)
+            raise ValueError(f"row {names[i]!r} has sense {senses[i]!r}, not <=, >= or =")
+        # A few thousand rows at a time, so that the sort's scratch arrays
+        # stay small next to the model.
+        for first_row in range(0, n, _ROW_CHUNK):
+            rows = slice(first_row, min(first_row + _ROW_CHUNK, n))
+            terms = slice(ptr[rows.start], ptr[rows.stop])
+            self._append_terms(np.diff(ptr[rows.start : rows.stop + 1]), cols[terms], vals[terms])
+        self.row_names.extend(names)
+        self.row_senses.extend(senses)
+        self.row_rhs.frombytes(memoryview(rhs).cast("B"))
+
+    def _append_terms(self, counts: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        """Store the terms of rows with ``counts`` terms each: zero
+        coefficients dropped, sorted by variable id, duplicates summed in
+        input order."""
+        nonzero = vals != 0.0
+        key = np.repeat(np.arange(len(counts), dtype=np.int64), counts)  # the row of each term
+        if not nonzero.all():
+            key, cols, vals = key[nonzero], cols[nonzero], vals[nonzero]
+        if cols.size:
+            # Sort by (row, column): key = row * span + column - low.
+            low = cols.min()
+            span = cols.max() - low + 1
+            key *= span
+            key += cols
+            key -= low
+            order = np.argsort(key, kind="stable")
+            key, cols, vals = key[order], cols[order], vals[order]
+            first = np.empty(key.size, dtype=bool)
+            first[0] = True
+            np.not_equal(key[1:], key[:-1], out=first[1:])
+            if not first.all():
+                summed = np.zeros(np.count_nonzero(first))
+                np.add.at(summed, np.cumsum(first) - 1, vals)  # in input order
+                key, cols, vals = key[first], cols[first], summed
+            key //= span
+        ends = len(self.row_cols) + np.cumsum(np.bincount(key, minlength=len(counts)))
+        self.row_cols.frombytes(memoryview(cols).cast("B"))
+        self.row_vals.frombytes(memoryview(vals).cast("B"))
+        self.row_ptr.frombytes(memoryview(ends.astype(np.int64)).cast("B"))
 
     def var(self, sym: str, *idx) -> int:
         return self.index[sym][tuple(idx)]
@@ -325,204 +447,384 @@ def build_instance(
     }
 
     bid_hi = 1.0 if allow_bids else 0.0
-    for k in range(K):
-        inst.add_var("sell_qty", (k,), f"sell_qty_k{k}", CONTINUOUS, 0.0, pe)
-        inst.add_var("buy_qty", (k,), f"buy_qty_k{k}", CONTINUOUS, 0.0, pi)
-        inst.add_var("sell_on", (k,), f"sell_on_k{k}", BINARY, 0.0, bid_hi)
-        inst.add_var("buy_on", (k,), f"buy_on_k{k}", BINARY, 0.0, bid_hi)
-        inst.add_var("base_rec", (k,), f"base_rec_k{k}", CONTINUOUS, -m_rec, m_rec)
-        inst.add_var("base_bess", (k,), f"base_bess_k{k}", CONTINUOUS, -m_bess, m_bess)
-    for k in range(K):
-        for j in range(n_m):
-            inst.add_var("pick_sell", (k, j), f"pick_sell_k{k}_j{j}", BINARY, 0.0, bid_hi)
-            inst.add_var("pick_buy", (k, j), f"pick_buy_k{k}_j{j}", BINARY, 0.0, bid_hi)
-            inst.add_var("qty_pick_sell", (k, j), f"qty_pick_sell_k{k}_j{j}", CONTINUOUS, 0.0, pe)
-            inst.add_var("qty_pick_buy", (k, j), f"qty_pick_buy_k{k}_j{j}", CONTINUOUS, 0.0, pi)
-    for k in range(K):
-        for s in range(n_m):
-            # Acceptance and activity flags are affinely pinned to the pick
-            # and on binaries, so they stay 0/1 without a binary marker.
-            inst.add_var("acc_sell", (k, s), f"acc_sell_k{k}_s{s}", CONTINUOUS, 0.0, 1.0)
-            inst.add_var("acc_buy", (k, s), f"acc_buy_k{k}_s{s}", CONTINUOUS, 0.0, 1.0)
-            inst.add_var("award_sell", (k, s), f"award_sell_k{k}_s{s}", CONTINUOUS, 0.0, pe)
-            inst.add_var("award_buy", (k, s), f"award_buy_k{k}_s{s}", CONTINUOUS, 0.0, pi)
-            inst.add_var("act_sell", (k, s), f"act_sell_k{k}_s{s}", CONTINUOUS, 0.0, 1.0)
-            inst.add_var("act_buy", (k, s), f"act_buy_k{k}_s{s}", CONTINUOUS, 0.0, 1.0)
-    for k in range(K):
-        for s in range(n_m):
-            for l in range(n_r):
-                suf = f"k{k}_s{s}_l{l}"
-                inst.add_var("exp", (k, s, l), f"exp_{suf}", CONTINUOUS, 0.0, pe)
-                inst.add_var("imp", (k, s, l), f"imp_{suf}", CONTINUOUS, 0.0, pi)
-                if not exchange_netting:
-                    inst.add_var("exp_on", (k, s, l), f"exp_on_{suf}", BINARY, 0.0, 1.0)
-                inst.add_var("base_exp", (k, s, l), f"base_exp_{suf}", CONTINUOUS, 0.0, pe)
-                inst.add_var("base_imp", (k, s, l), f"base_imp_{suf}", CONTINUOUS, 0.0, pi)
-                if not base_netting[k]:
-                    inst.add_var(
-                        "base_exp_on", (k, s, l), f"base_exp_on_{suf}", BINARY, 0.0, 1.0
-                    )
-                inst.add_var(
-                    "rec", (k, s, l), f"rec_{suf}", CONTINUOUS, -(pi + md_max), pe
-                )
-                inst.add_var("short_sell", (k, s, l), f"short_sell_{suf}", CONTINUOUS, 0.0, pe)
-                inst.add_var("short_buy", (k, s, l), f"short_buy_{suf}", CONTINUOUS, 0.0, pi)
-                inst.add_var("shift_up", (k, s, l), f"shift_up_{suf}", CONTINUOUS, 0.0, eps)
-                inst.add_var("shift_dn", (k, s, l), f"shift_dn_{suf}", CONTINUOUS, 0.0, eps)
-                inst.add_var("resv_up", (k, s, l), f"resv_up_{suf}", CONTINUOUS, 0.0, eps)
-                inst.add_var("resv_dn", (k, s, l), f"resv_dn_{suf}", CONTINUOUS, 0.0, eps)
-                inst.add_var("chg", (k, s, l), f"chg_{suf}", CONTINUOUS, 0.0, pb)
-                inst.add_var("dis", (k, s, l), f"dis_{suf}", CONTINUOUS, 0.0, pb)
-                inst.add_var("chg_on", (k, s, l), f"chg_on_{suf}", BINARY, 0.0, 1.0)
-                # Without exp_on, the member-demand cap on shared energy is
-                # a bound (see encode_shared_energy).
-                shared_hi = min(pe, float(md[l, k])) if exchange_netting else pe
-                inst.add_var("shared", (k, s, l), f"shared_{suf}", CONTINUOUS, 0.0, shared_hi)
+    b = _Blocks(K, n_m, n_r)
+    b.add_vars(inst, "k", [
+        ("sell_qty", CONTINUOUS, 0.0, pe),
+        ("buy_qty", CONTINUOUS, 0.0, pi),
+        ("sell_on", BINARY, 0.0, bid_hi),
+        ("buy_on", BINARY, 0.0, bid_hi),
+        ("base_rec", CONTINUOUS, -m_rec, m_rec),
+        ("base_bess", CONTINUOUS, -m_bess, m_bess),
+    ])
+    b.add_vars(inst, "kj", [
+        ("pick_sell", BINARY, 0.0, bid_hi),
+        ("pick_buy", BINARY, 0.0, bid_hi),
+        ("qty_pick_sell", CONTINUOUS, 0.0, pe),
+        ("qty_pick_buy", CONTINUOUS, 0.0, pi),
+    ])
+    # Acceptance and activity flags are affinely pinned to the pick and on
+    # binaries, so they stay 0/1 without a binary marker.
+    b.add_vars(inst, "ks", [
+        ("acc_sell", CONTINUOUS, 0.0, 1.0),
+        ("acc_buy", CONTINUOUS, 0.0, 1.0),
+        ("award_sell", CONTINUOUS, 0.0, pe),
+        ("award_buy", CONTINUOUS, 0.0, pi),
+        ("act_sell", CONTINUOUS, 0.0, 1.0),
+        ("act_buy", CONTINUOUS, 0.0, 1.0),
+    ])
+    # Without exp_on, the member-demand cap on shared energy is a bound
+    # (see encode_shared_energy).
+    shared_hi = np.minimum(pe, md.T[:, None, :]) if exchange_netting else pe
+    b.add_vars(inst, "ksl", [
+        ("exp", CONTINUOUS, 0.0, pe),
+        ("imp", CONTINUOUS, 0.0, pi),
+        ("exp_on", BINARY, 0.0, 1.0, not exchange_netting),
+        ("base_exp", CONTINUOUS, 0.0, pe),
+        ("base_imp", CONTINUOUS, 0.0, pi),
+        ("base_exp_on", BINARY, 0.0, 1.0, ~base_netting[:, None, None]),
+        ("rec", CONTINUOUS, -(pi + md_max), pe),
+        ("short_sell", CONTINUOUS, 0.0, pe),
+        ("short_buy", CONTINUOUS, 0.0, pi),
+        ("shift_up", CONTINUOUS, 0.0, eps),
+        ("shift_dn", CONTINUOUS, 0.0, eps),
+        ("resv_up", CONTINUOUS, 0.0, eps),
+        ("resv_dn", CONTINUOUS, 0.0, eps),
+        ("chg", CONTINUOUS, 0.0, pb),
+        ("dis", CONTINUOUS, 0.0, pb),
+        ("chg_on", BINARY, 0.0, 1.0),
+        ("shared", CONTINUOUS, 0.0, shared_hi),
+    ])
     if eb > 0:
-        for k in range(K):
-            if k == K - 1:
-                lo, hi = config.soc_final_min * eb, config.soc_final_max * eb
-            else:
-                lo, hi = 0.0, eb
-            for s in range(n_m):
-                for l in range(n_r):
-                    inst.add_var("soc", (k, s, l), f"soc_k{k}_s{s}_l{l}", CONTINUOUS, lo, hi)
+        last = (np.arange(K) == K - 1)[:, None, None]
+        soc_lo = np.where(last, config.soc_final_min * eb, 0.0)
+        soc_hi = np.where(last, config.soc_final_max * eb, eb)
+        b.add_vars(inst, "ksl", [("soc", CONTINUOUS, soc_lo, soc_hi)])
 
-    encode_bidding(inst, config)
-    encode_acceptance(inst, prices)
-    encode_energy_balance(inst, config, energies)
-    encode_relaxation_logic(inst, config)
-    encode_storage(inst, config, energies)
-    encode_shared_energy(inst, config)
-    encode_objective(inst, config, prices, energies, known_prices)
+    encode_bidding(inst, b, config)
+    encode_acceptance(inst, b, prices)
+    encode_energy_balance(inst, b, config)
+    encode_relaxation_logic(inst, b)
+    encode_storage(inst, b, config)
+    encode_shared_energy(inst, b)
+    encode_objective(inst, b, config)
+    b.store_rows(inst)
     return inst
 
 
-def encode_bidding(inst: MilpInstance, config: RecConfig) -> None:
+def _cell_suffixes(axes: str, shape: tuple[int, ...]) -> list[str]:
+    """Name suffixes of a grid's cells in C order, e.g. ``k0_s1_l2`` for
+    axes ``ksl``."""
+    out = [f"{axes[0]}{i}" for i in range(shape[0])]
+    for axis, size in zip(axes[1:], shape[1:]):
+        labels = [f"_{axis}{i}" for i in range(size)]
+        out = [head + label for head in out for label in labels]
+    return out
+
+
+class _Rows(NamedTuple):
+    """One row family over a grid: a row per cell where ``present`` holds.
+
+    ``name`` has ``{}`` where the cell's suffix goes. ``terms`` are
+    ``(sym, coefs)`` pairs. A symbol on the grid, or on fewer of its axes,
+    gives one term per row; one with a price-choice axis ``j`` the grid
+    lacks gives a term per choice. ``coefs``, ``rhs`` and ``present``
+    broadcast to the grid's shape, with the choice axis last for ``coefs``
+    of such a symbol; None is every cell.
+    """
+
+    name: str
+    terms: list
+    sense: str
+    rhs: object = 0.0
+    present: object = None
+
+
+def _somewhere(present) -> bool:
+    """Whether a ``present`` mask (None for everywhere) holds in some cell."""
+    return present is None or present is True or (present is not False and present.any())
+
+
+class _BlockLayout(NamedTuple):
+    """One queued block's part of a ``_GridLayout``, per cell of the grid."""
+
+    picks: np.ndarray  # the id column of each term, family by family
+    values: np.ndarray  # the day value of each term, then of each right-hand side
+    widths: np.ndarray  # terms per family
+    slots: tuple  # (value, slot) of each term and right-hand side; a slice if over j
+    names: tuple[tuple[str, str], ...]  # per family: name before and after the cell
+    senses: tuple[str, ...]  # per family
+
+
+class _GridLayout(NamedTuple):
+    """The part of a grid's row blocks that days of one shape share; see
+    ``_grid_layout``."""
+
+    parts: tuple  # (group, axis order, aligned shape, first column, end column)
+    n_cols: int
+    blocks: tuple[_BlockLayout, ...]
+
+
+@lru_cache(maxsize=64)
+def _grid_layout(axes: str, shape: tuple[int, ...], groups: tuple, blocks: tuple) -> _GridLayout:
+    """Where each term of the row blocks over one grid takes its id and its
+    value from.
+
+    ``groups`` holds ``(axes, symbols, shape)`` of each group of ids, in
+    order, and ``blocks`` the ``(name, symbols, sense)`` of the families
+    of each block queued over the grid. The ids of the groups that the
+    families use are laid side by side as columns, each aligned to the
+    grid: a symbol over the grid's axes, or fewer of them, has one column,
+    and one with an axis the grid lacks (the price choices j) a column per
+    index of it. In a cell, a family's terms take their symbols' columns
+    in order. A day's values are the terms' coefficients, numbered over
+    the grid's families in order, then the families' right-hand sides; a
+    block's cell holds its terms' values, then its right-hand sides. Pure,
+    and cached because it does not change between days of one shape.
+    """
+    used = {sym for fams in blocks for _name, syms, _sense in fams for sym in syms}
+    parts, columns, n_cols = [], {}, 0
+    for g, (ids_axes, syms, ids_shape) in enumerate(groups):
+        if used.isdisjoint(syms):
+            continue
+        own = [ids_axes.index(a) for a in axes if a in ids_axes]
+        extra = [i for i, a in enumerate(ids_axes) if a not in axes]
+        width = math.prod(ids_shape[i] for i in extra) * len(syms)
+        for i, sym in enumerate(syms):
+            columns[sym] = list(range(n_cols + i, n_cols + width, len(syms))), bool(extra)
+        aligned = tuple(ids_shape[ids_axes.index(a)] if a in ids_axes else 1 for a in axes)
+        parts.append((g, (*own, *extra, len(ids_axes)), (*aligned, width), n_cols, n_cols + width))
+        n_cols += width
+    n_terms = sum(len(syms) for fams in blocks for _name, syms, _sense in fams)
+    term, rhs, layouts = 0, n_terms, []
+    for fams in blocks:
+        picks, values, widths, slots = [], [], [], []
+        for _name, syms, _sense in fams:
+            start = len(picks)
+            for sym in syms:
+                cols, over_j = columns[sym]
+                at = len(picks)
+                slots.append((term, slice(at, at + len(cols)) if over_j else at))
+                values += [term] * len(cols)
+                picks += cols
+                term += 1
+            widths.append(len(picks) - start)
+        for _family in fams:
+            slots.append((rhs, len(values)))
+            values.append(rhs)
+            rhs += 1
+        layouts.append(_BlockLayout(
+            np.array(picks, dtype=np.intp),
+            np.array(values, dtype=np.intp),
+            np.array(widths, dtype=np.int64),
+            tuple(slots),
+            tuple(tuple(name.split("{}")) for name, _syms, _sense in fams),
+            tuple(sense for _name, _syms, sense in fams),
+        ))
+    return _GridLayout(tuple(parts), n_cols, tuple(layouts))
+
+
+class _Plan(NamedTuple):
+    """A queued block ready to be made: its grid's ids and day values, and
+    the rows it keeps."""
+
+    axes: str
+    block: _BlockLayout
+    ids: np.ndarray  # (cells, columns) of the grid
+    given: list  # the grid's day values: coefficients, then right-hand sides
+    day: np.ndarray  # the same, with arrays as 0
+    keep: np.ndarray | None  # the rows kept, cell by cell; None for every row
+    terms: np.ndarray | None  # the terms kept
+    widths: np.ndarray  # terms per kept row
+    n_terms: int
+
+
+class _Blocks:
+    """The builder's blocks: variable ids by symbol, and the row families
+    that ``store_rows`` adds in one ``add_rows`` call.
+
+    A grid is named by its axes: ``k`` hours, ``kj`` hours by price
+    choices, ``ks`` hours by price scenarios, ``ksl`` hours by price and
+    energy scenarios, and ``slk`` the last in the order of the
+    state-of-charge recursion.
+    """
+
+    def __init__(self, K: int, n_m: int, n_r: int):
+        self.shapes = {"k": (K,), "kj": (K, n_m), "ks": (K, n_m), "ksl": (K, n_m, n_r)}
+        self.sufs = {axes: _cell_suffixes(axes, shape) for axes, shape in self.shapes.items()}
+        # The state-of-charge recursion runs over (s, l, k); its cells keep
+        # their (k, s, l) names.
+        self.shapes["slk"] = (n_m, n_r, K)
+        by_ksl = np.array(self.sufs["ksl"], dtype=object).reshape(K, n_m, n_r)
+        self.sufs["slk"] = by_ksl.transpose(1, 2, 0).reshape(-1).tolist()
+        self.v: dict[str, np.ndarray] = {}  # ids over the symbol's grid
+        self.groups: list[tuple[str, tuple[str, ...], np.ndarray]] = []  # axes, symbols, ids
+        self.queue: list[tuple[str, list[_Rows]]] = []
+
+    def add_vars(self, inst: MilpInstance, axes: str, specs) -> None:
+        """``inst.add_vars`` over a grid for ``(sym, kind, lo, hi[, present])``
+        specs, each variable named ``<sym>_<cell suffix>``."""
+        shape = self.shapes[axes]
+        members = []
+        for sym, kind, lo, hi, *present in specs:
+            mask = present[0] if present else None
+            names = [f"{sym}_{suf}" for suf in self.sufs[axes]] if _somewhere(mask) else ()
+            members.append((sym, names, kind, lo, hi, mask))
+        self.add_ids(axes, tuple(spec[0] for spec in specs), inst.add_vars(shape, members))
+
+    def add_ids(self, axes: str, syms: tuple[str, ...], ids: np.ndarray) -> None:
+        """Make ids over a grid, one symbol per last index, usable as row
+        terms by symbol."""
+        self.v.update((sym, ids[..., i]) for i, sym in enumerate(syms))
+        self.groups.append((axes, syms, ids))
+
+    def add_rows(self, axes: str, families: list[_Rows]) -> None:
+        """Queue a block over a grid: cell by cell in C order, the row of
+        each family present there, in family order."""
+        self.queue.append((axes, [f for f in families if _somewhere(f.present)]))
+
+    def store_rows(self, inst: MilpInstance) -> None:
+        """The queued blocks, in order, in one ``inst.add_rows`` call; the
+        builder's ids are let go.
+
+        Each block is copied into the joined arrays as soon as it is made,
+        so that a paper-scale day needs little scratch memory beside the
+        model's own.
+        """
+        plans: list[_Plan] = [None] * len(self.queue)
+        by_grid: dict[str, list[int]] = {}
+        for i, (axes, _families) in enumerate(self.queue):
+            by_grid.setdefault(axes, []).append(i)
+        for axes, queued in by_grid.items():
+            for i, plan in zip(queued, self._grid_plans(axes, queued)):
+                plans[i] = plan
+        self.queue.clear()
+        n_rows = sum(len(plan.widths) for plan in plans)
+        n_terms = sum(plan.n_terms for plan in plans)
+        names, senses = [], []
+        widths = np.zeros(n_rows + 1, dtype=np.int64)
+        cols, vals = np.empty(n_terms, dtype=np.int64), np.empty(n_terms)
+        rhs = np.empty(n_rows)
+        row = term = 0
+        for plan in plans:
+            block_names, block_senses, block_cols, block_vals, block_rhs = self._made(plan)
+            names += block_names
+            senses += block_senses
+            end_row, end_term = row + len(plan.widths), term + plan.n_terms
+            widths[row + 1 : end_row + 1] = plan.widths
+            cols[term:end_term], vals[term:end_term] = block_cols, block_vals
+            rhs[row:end_row] = block_rhs
+            row, term = end_row, end_term
+        del plans
+        self.groups.clear()
+        self.v.clear()
+        inst.add_rows(names, np.cumsum(widths, out=widths), cols, vals, senses, rhs)
+
+    def _grid_plans(self, axes: str, queued: list[int]):
+        """The ``_Plan`` of each queued block over one grid."""
+        shape = self.shapes[axes]
+        n_cells = math.prod(shape)
+        families = [self.queue[i][1] for i in queued]
+        groups = tuple((g_axes, syms, ids.shape[:-1]) for g_axes, syms, ids in self.groups)
+        signature = tuple(
+            tuple((f.name, tuple(term[0] for term in f.terms), f.sense) for f in fams)
+            for fams in families
+        )
+        layout = _grid_layout(axes, shape, groups, signature)
+        ids = np.empty(shape + (layout.n_cols,), dtype=np.int64)
+        for g, order, aligned, start, end in layout.parts:
+            ids[..., start:end] = self.groups[g][2].transpose(order).reshape(aligned)
+        ids = ids.reshape(n_cells, -1)
+        flat = [f for fams in families for f in fams]
+        given = [term[1] for f in flat for term in f.terms] + [f.rhs for f in flat]
+        day = np.array([0.0 if isinstance(x, np.ndarray) else x for x in given])
+        for fams, block in zip(families, layout.blocks):
+            widths = np.empty((n_cells, len(fams)), dtype=np.int64)
+            widths[...] = block.widths
+            widths = widths.reshape(-1)
+            if all(f.present is None or f.present is True for f in fams):
+                n_terms = n_cells * len(block.picks)
+                yield _Plan(axes, block, ids, given, day, None, None, widths, n_terms)
+                continue
+            present = np.ones(shape + (len(fams),), dtype=bool)
+            for f, family in enumerate(fams):
+                if family.present is not None and family.present is not True:
+                    present[..., f] = family.present
+            keep = present.reshape(-1)
+            terms = np.repeat(keep, widths)
+            kept = widths[keep]
+            yield _Plan(axes, block, ids, given, day, keep, terms, kept, int(kept.sum()))
+
+    def _made(self, plan: _Plan):
+        """``(names, senses, cols, vals, rhs)`` of the rows a block keeps."""
+        shape = self.shapes[plan.axes]
+        n_cells, block = len(plan.ids), plan.block
+        v = np.repeat(plan.day[block.values][None, :], n_cells, axis=0)
+        grid = v.reshape(shape + block.values.shape)
+        for value, slot in block.slots:
+            if isinstance(plan.given[value], np.ndarray):
+                grid[..., slot] = plan.given[value]
+        n_terms = len(block.picks)
+        cols, vals = plan.ids[:, block.picks].reshape(-1), v[:, :n_terms].reshape(-1)
+        rhs = v[:, n_terms:].reshape(-1)
+        names = [head + suf + tail for suf in self.sufs[plan.axes] for head, tail in block.names]
+        senses = block.senses * n_cells
+        if plan.keep is not None:
+            mask = plan.keep.tolist()
+            names, senses = list(compress(names, mask)), compress(senses, mask)
+            cols, vals, rhs = cols[plan.terms], vals[plan.terms], rhs[plan.keep]
+        return names, list(senses), cols, vals, rhs
+
+
+def encode_bidding(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     """Bid quantity gating, the one-bid-per-hour rule and price-choice sums."""
-    K = inst.data["K"]
-    n_m = inst.data["n_m"]
-    for k in range(K):
-        inst.add_row(
-            f"sell_qty_cap_k{k}",
-            [(inst.var("sell_qty", k), 1.0), (inst.var("sell_on", k), -config.p_export_max)],
-            "<=",
-            0.0,
-        )
-        inst.add_row(
-            f"buy_qty_cap_k{k}",
-            [(inst.var("buy_qty", k), 1.0), (inst.var("buy_on", k), -config.p_import_max)],
-            "<=",
-            0.0,
-        )
-        inst.add_row(
-            f"one_bid_k{k}",
-            [(inst.var("sell_on", k), 1.0), (inst.var("buy_on", k), 1.0)],
-            "<=",
-            1.0,
-        )
-        inst.add_row(
-            f"pick_sell_sum_k{k}",
-            [(inst.var("pick_sell", k, j), 1.0) for j in range(n_m)]
-            + [(inst.var("sell_on", k), -1.0)],
-            "=",
-            0.0,
-        )
-        inst.add_row(
-            f"pick_buy_sum_k{k}",
-            [(inst.var("pick_buy", k, j), 1.0) for j in range(n_m)]
-            + [(inst.var("buy_on", k), -1.0)],
-            "=",
-            0.0,
-        )
+    pe, pi = config.p_export_max, config.p_import_max
+    b.add_rows("k", [
+        _Rows("sell_qty_cap_{}", [("sell_qty", 1.0), ("sell_on", -pe)], "<="),
+        _Rows("buy_qty_cap_{}", [("buy_qty", 1.0), ("buy_on", -pi)], "<="),
+        _Rows("one_bid_{}", [("sell_on", 1.0), ("buy_on", 1.0)], "<=", 1.0),
+        _Rows("pick_sell_sum_{}", [("pick_sell", 1.0), ("sell_on", -1.0)], "="),
+        _Rows("pick_buy_sum_{}", [("pick_buy", 1.0), ("buy_on", -1.0)], "="),
+    ])
 
 
-def encode_acceptance(inst: MilpInstance, prices: ScenarioSet) -> None:
-    """Scenario acceptance flags and the awarded-quantity products."""
-    K, n_m = inst.data["K"], inst.data["n_m"]
+def encode_acceptance(inst: MilpInstance, b: _Blocks, prices: ScenarioSet) -> None:
+    """Scenario acceptance flags and the awarded-quantity products.
+
+    A term over the price choices j takes its (k, s) row's acceptance
+    entries as coefficients; a zero entry drops the term.
+    """
     config = inst.data["config"]
     pe, pi = config.p_export_max, config.p_import_max
     a_sell, a_buy = acceptance_matrices(prices)
     inst.data["a_sell"], inst.data["a_buy"] = a_sell, a_buy
-    for k in range(K):
-        for s in range(n_m):
-            inst.add_row(
-                f"acc_sell_def_k{k}_s{s}",
-                [(inst.var("acc_sell", k, s), 1.0)]
-                + [
-                    (inst.var("pick_sell", k, j), -a_sell[k, s, j])
-                    for j in range(n_m)
-                    if a_sell[k, s, j]
-                ],
-                "=",
-                0.0,
-            )
-            inst.add_row(
-                f"acc_buy_def_k{k}_s{s}",
-                [(inst.var("acc_buy", k, s), 1.0)]
-                + [
-                    (inst.var("pick_buy", k, j), -a_buy[k, s, j])
-                    for j in range(n_m)
-                    if a_buy[k, s, j]
-                ],
-                "=",
-                0.0,
-            )
-    for k in range(K):
-        for s in range(n_m):
-            _product_rows(
-                inst,
-                f"award_sell_k{k}_s{s}",
-                inst.var("award_sell", k, s),
-                inst.var("sell_qty", k),
-                inst.var("acc_sell", k, s),
-                pe,
-            )
-            _product_rows(
-                inst,
-                f"award_buy_k{k}_s{s}",
-                inst.var("award_buy", k, s),
-                inst.var("buy_qty", k),
-                inst.var("acc_buy", k, s),
-                pi,
-            )
+    b.add_rows("ks", [
+        _Rows("acc_sell_def_{}", [("acc_sell", 1.0), ("pick_sell", -a_sell)], "="),
+        _Rows("acc_buy_def_{}", [("acc_buy", 1.0), ("pick_buy", -a_buy)], "="),
+    ])
+    b.add_rows(
+        "ks",
+        _product_rows("award_sell", "sell_qty", "acc_sell", pe)
+        + _product_rows("award_buy", "buy_qty", "acc_buy", pi),
+    )
     # Couple each award to the per-pick quantity products. Exact whenever
     # the picks are integral (at most one pick is active), and it removes
     # the relaxation's freedom to collect several prices for one quantity.
-    for k in range(K):
-        for s in range(n_m):
-            inst.add_row(
-                f"award_sell_link_k{k}_s{s}",
-                [(inst.var("award_sell", k, s), 1.0)]
-                + [
-                    (inst.var("qty_pick_sell", k, j), -a_sell[k, s, j])
-                    for j in range(n_m)
-                    if a_sell[k, s, j]
-                ],
-                "=",
-                0.0,
-            )
-            inst.add_row(
-                f"award_buy_link_k{k}_s{s}",
-                [(inst.var("award_buy", k, s), 1.0)]
-                + [
-                    (inst.var("qty_pick_buy", k, j), -a_buy[k, s, j])
-                    for j in range(n_m)
-                    if a_buy[k, s, j]
-                ],
-                "=",
-                0.0,
-            )
+    b.add_rows("ks", [
+        _Rows("award_sell_link_{}", [("award_sell", 1.0), ("qty_pick_sell", -a_sell)], "="),
+        _Rows("award_buy_link_{}", [("award_buy", 1.0), ("qty_pick_buy", -a_buy)], "="),
+    ])
 
 
-def _product_rows(inst, stem, prod, cont, flag, bound):
+def _product_rows(prod, cont, flag, bound) -> list[_Rows]:
     """prod = flag * cont for binary flag and cont in [0, bound]."""
-    inst.add_row(f"{stem}_le_qty", [(prod, 1.0), (cont, -1.0)], "<=", 0.0)
-    inst.add_row(f"{stem}_le_flag", [(prod, 1.0), (flag, -bound)], "<=", 0.0)
-    inst.add_row(f"{stem}_ge", [(prod, 1.0), (cont, -1.0), (flag, -bound)], ">=", -bound)
+    return [
+        _Rows(f"{prod}_{{}}_le_qty", [(prod, 1.0), (cont, -1.0)], "<="),
+        _Rows(f"{prod}_{{}}_le_flag", [(prod, 1.0), (flag, -bound)], "<="),
+        _Rows(f"{prod}_{{}}_ge", [(prod, 1.0), (cont, -1.0), (flag, -bound)], ">=", -bound),
+    ]
 
 
-def encode_energy_balance(inst: MilpInstance, config: RecConfig, energies: ScenarioSet) -> None:
+def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     """Facility balance, exchange identity, service balance and error caps.
 
     The export/import pairs (``exp``, ``imp``) and (``base_exp``,
@@ -550,140 +852,75 @@ def encode_energy_balance(inst: MilpInstance, config: RecConfig, energies: Scena
       netting keeps every row and the objective. ``shared``'s
       member-demand row then needs no binary (``encode_shared_energy``).
     """
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
-    res, load = inst.data["res"], inst.data["load"]
-    md = inst.data["md"]
+    d = inst.data
     pe, pi = config.p_export_max, config.p_import_max
-    base_netting = inst.data["base_netting"]
-    exchange_netting = inst.data["exchange_netting"]
-    for k in range(K):
-        for s in range(n_m):
-            for l in range(n_r):
-                suf = f"k{k}_s{s}_l{l}"
-                v = lambda sym: inst.var(sym, k, s, l)  # noqa: E731
-                inst.add_row(
-                    f"cf_balance_{suf}",
-                    [(v("exp"), 1.0), (v("imp"), -1.0), (v("dis"), -1.0), (v("chg"), 1.0)],
-                    "=",
-                    res[l, k] - load[l, k],
-                )
-                if not exchange_netting:
-                    inst.add_row(
-                        f"export_cap_{suf}", [(v("exp"), 1.0), (v("exp_on"), -pe)], "<=", 0.0
-                    )
-                    inst.add_row(
-                        f"import_cap_{suf}", [(v("imp"), 1.0), (v("exp_on"), pi)], "<=", pi
-                    )
-                inst.add_row(
-                    f"rec_identity_{suf}",
-                    [(v("rec"), 1.0), (v("exp"), -1.0), (v("imp"), 1.0)],
-                    "=",
-                    -md[l, k],
-                )
-                inst.add_row(
-                    f"rec_service_{suf}",
-                    [
-                        (v("rec"), 1.0),
-                        (inst.var("base_rec", k), -1.0),
-                        (v("shift_up"), -1.0),
-                        (v("shift_dn"), 1.0),
-                        (inst.var("award_sell", k, s), -1.0),
-                        (v("short_sell"), 1.0),
-                        (inst.var("award_buy", k, s), 1.0),
-                        (v("short_buy"), -1.0),
-                    ],
-                    "=",
-                    0.0,
-                )
-                inst.add_row(
-                    f"short_sell_cap_{suf}",
-                    [(v("short_sell"), 1.0), (inst.var("award_sell", k, s), -1.0)],
-                    "<=",
-                    0.0,
-                )
-                inst.add_row(
-                    f"short_buy_cap_{suf}",
-                    [(v("short_buy"), 1.0), (inst.var("award_buy", k, s), -1.0)],
-                    "<=",
-                    0.0,
-                )
-                inst.add_row(
-                    f"base_balance_{suf}",
-                    [
-                        (v("exp"), 1.0),
-                        (v("imp"), -1.0),
-                        (v("base_exp"), -1.0),
-                        (v("base_imp"), 1.0),
-                        (inst.var("award_sell", k, s), -1.0),
-                        (v("short_sell"), 1.0),
-                        (inst.var("award_buy", k, s), 1.0),
-                        (v("short_buy"), -1.0),
-                    ],
-                    "=",
-                    0.0,
-                )
-                if not base_netting[k]:
-                    inst.add_row(
-                        f"base_export_cap_{suf}",
-                        [(v("base_exp"), 1.0), (v("base_exp_on"), -pe)],
-                        "<=",
-                        0.0,
-                    )
-                    inst.add_row(
-                        f"base_import_cap_{suf}",
-                        [(v("base_imp"), 1.0), (v("base_exp_on"), pi)],
-                        "<=",
-                        pi,
-                    )
+    exchanged = not d["exchange_netting"]
+    base_capped = ~d["base_netting"][:, None, None]
+    shortfalls = [
+        ("award_sell", -1.0), ("short_sell", 1.0), ("award_buy", 1.0), ("short_buy", -1.0)
+    ]
+    b.add_rows("ksl", [
+        _Rows(
+            "cf_balance_{}",
+            [("exp", 1.0), ("imp", -1.0), ("dis", -1.0), ("chg", 1.0)],
+            "=",
+            (d["res"] - d["load"]).T[:, None, :],
+        ),
+        _Rows("export_cap_{}", [("exp", 1.0), ("exp_on", -pe)], "<=", 0.0, exchanged),
+        _Rows("import_cap_{}", [("imp", 1.0), ("exp_on", pi)], "<=", pi, exchanged),
+        _Rows(
+            "rec_identity_{}",
+            [("rec", 1.0), ("exp", -1.0), ("imp", 1.0)],
+            "=",
+            -d["md"].T[:, None, :],
+        ),
+        _Rows(
+            "rec_service_{}",
+            [("rec", 1.0), ("base_rec", -1.0), ("shift_up", -1.0), ("shift_dn", 1.0)]
+            + shortfalls,
+            "=",
+        ),
+        _Rows("short_sell_cap_{}", [("short_sell", 1.0), ("award_sell", -1.0)], "<="),
+        _Rows("short_buy_cap_{}", [("short_buy", 1.0), ("award_buy", -1.0)], "<="),
+        _Rows(
+            "base_balance_{}",
+            [("exp", 1.0), ("imp", -1.0), ("base_exp", -1.0), ("base_imp", 1.0)] + shortfalls,
+            "=",
+        ),
+        _Rows(
+            "base_export_cap_{}",
+            [("base_exp", 1.0), ("base_exp_on", -pe)],
+            "<=",
+            0.0,
+            base_capped,
+        ),
+        _Rows(
+            "base_import_cap_{}", [("base_imp", 1.0), ("base_exp_on", pi)], "<=", pi, base_capped
+        ),
+    ])
 
 
-def encode_relaxation_logic(inst: MilpInstance, config: RecConfig) -> None:
+def encode_relaxation_logic(inst: MilpInstance, b: _Blocks) -> None:
     """Active-service flags (accepted AND submitted) gating the slack ranges."""
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
     eps = inst.data["epsilon_max"]
-    for k in range(K):
-        for s in range(n_m):
-            for side, on in (("sell", "sell_on"), ("buy", "buy_on")):
-                act = inst.var(f"act_{side}", k, s)
-                acc = inst.var(f"acc_{side}", k, s)
-                b = inst.var(on, k)
-                stem = f"act_{side}_k{k}_s{s}"
-                inst.add_row(f"{stem}_ge", [(act, 1.0), (acc, -1.0), (b, -1.0)], ">=", -1.0)
-                inst.add_row(f"{stem}_le_acc", [(act, 1.0), (acc, -1.0)], "<=", 0.0)
-                inst.add_row(f"{stem}_le_on", [(act, 1.0), (b, -1.0)], "<=", 0.0)
-    for k in range(K):
-        for s in range(n_m):
-            act_sell = inst.var("act_sell", k, s)
-            act_buy = inst.var("act_buy", k, s)
-            for l in range(n_r):
-                suf = f"k{k}_s{s}_l{l}"
-                inst.add_row(
-                    f"shift_up_cap_{suf}",
-                    [(inst.var("shift_up", k, s, l), 1.0), (act_buy, eps)],
-                    "<=",
-                    eps,
-                )
-                inst.add_row(
-                    f"shift_dn_cap_{suf}",
-                    [(inst.var("shift_dn", k, s, l), 1.0), (act_sell, eps)],
-                    "<=",
-                    eps,
-                )
-                inst.add_row(
-                    f"resv_up_cap_{suf}",
-                    [(inst.var("resv_up", k, s, l), 1.0), (act_sell, -eps)],
-                    "<=",
-                    0.0,
-                )
-                inst.add_row(
-                    f"resv_dn_cap_{suf}",
-                    [(inst.var("resv_dn", k, s, l), 1.0), (act_buy, -eps)],
-                    "<=",
-                    0.0,
-                )
+    flags = []
+    for side in ("sell", "buy"):
+        act, acc, on = f"act_{side}", f"acc_{side}", f"{side}_on"
+        flags += [
+            _Rows(f"{act}_{{}}_ge", [(act, 1.0), (acc, -1.0), (on, -1.0)], ">=", -1.0),
+            _Rows(f"{act}_{{}}_le_acc", [(act, 1.0), (acc, -1.0)], "<="),
+            _Rows(f"{act}_{{}}_le_on", [(act, 1.0), (on, -1.0)], "<="),
+        ]
+    b.add_rows("ks", flags)
+    b.add_rows("ksl", [
+        _Rows("shift_up_cap_{}", [("shift_up", 1.0), ("act_buy", eps)], "<=", eps),
+        _Rows("shift_dn_cap_{}", [("shift_dn", 1.0), ("act_sell", eps)], "<=", eps),
+        _Rows("resv_up_cap_{}", [("resv_up", 1.0), ("act_sell", -eps)], "<="),
+        _Rows("resv_dn_cap_{}", [("resv_dn", 1.0), ("act_buy", -eps)], "<="),
+    ])
 
 
-def encode_storage(inst: MilpInstance, config: RecConfig, energies: ScenarioSet) -> None:
+def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     """Battery service coupling, charge exclusivity, state-of-charge recursion.
 
     With a battery, each (k, s, l) has a ``soc`` variable in kWh whose bounds
@@ -692,61 +929,50 @@ def encode_storage(inst: MilpInstance, config: RecConfig, energies: ScenarioSet)
     soc_k - soc_{k-1} - eta_c chg_k + dis_k / eta_d = 0, with soc_{-1} the
     initial state moved to the right-hand side.
     """
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
-    res = inst.data["res"]
-    soc0 = inst.data["soc_initial"]
     eb = config.battery_capacity_kwh
     pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
-    eta_c, eta_d = config.eta_charge, config.eta_discharge
-    for k in range(K):
-        for s in range(n_m):
-            for l in range(n_r):
-                suf = f"k{k}_s{s}_l{l}"
-                v = lambda sym: inst.var(sym, k, s, l)  # noqa: E731
-                inst.add_row(
-                    f"bess_service_{suf}",
-                    [
-                        (v("dis"), 1.0),
-                        (v("chg"), -1.0),
-                        (inst.var("base_bess", k), -1.0),
-                        (inst.var("award_sell", k, s), -1.0),
-                        (inst.var("award_buy", k, s), 1.0),
-                        (v("resv_up"), -1.0),
-                        (v("resv_dn"), 1.0),
-                    ],
-                    "=",
-                    0.0,
-                )
-                inst.add_row(f"charge_cap_{suf}", [(v("chg"), 1.0), (v("chg_on"), -pb)], "<=", 0.0)
-                inst.add_row(
-                    f"discharge_cap_{suf}", [(v("dis"), 1.0), (v("chg_on"), pb)], "<=", pb
-                )
+    b.add_rows("ksl", [
+        _Rows(
+            "bess_service_{}",
+            [
+                ("dis", 1.0),
+                ("chg", -1.0),
+                ("base_bess", -1.0),
+                ("award_sell", -1.0),
+                ("award_buy", 1.0),
+                ("resv_up", -1.0),
+                ("resv_dn", 1.0),
+            ],
+            "=",
+        ),
+        _Rows("charge_cap_{}", [("chg", 1.0), ("chg_on", -pb)], "<="),
+        _Rows("discharge_cap_{}", [("dis", 1.0), ("chg_on", pb)], "<=", pb),
+    ])
     if eb > 0:
-        for s in range(n_m):
-            for l in range(n_r):
-                for k in range(K):
-                    terms = [
-                        (inst.var("soc", k, s, l), 1.0),
-                        (inst.var("chg", k, s, l), -eta_c),
-                        (inst.var("dis", k, s, l), 1.0 / eta_d),
-                    ]
-                    if k > 0:
-                        terms.append((inst.var("soc", k - 1, s, l), -1.0))
-                    rhs = soc0 * eb if k == 0 else 0.0
-                    inst.add_row(f"soc_balance_k{k}_s{s}_l{l}", terms, "=", rhs)
+        soc = b.v["soc"]
+        # soc at the previous hour; hour 0 has none, and its term is dropped.
+        b.add_ids("ksl", ("soc_prev",), np.concatenate([soc[:1], soc[:-1]])[..., None])
+        first = np.arange(inst.data["K"]) == 0
+        b.add_rows("slk", [
+            _Rows(
+                "soc_balance_{}",
+                [
+                    ("soc", 1.0),
+                    ("chg", -config.eta_charge),
+                    ("dis", 1.0 / config.eta_discharge),
+                    ("soc_prev", np.where(first, 0.0, -1.0)),
+                ],
+                "=",
+                np.where(first, inst.data["soc_initial"] * eb, 0.0),
+            )
+        ])
     if config.renewable_only_charging:
-        for k in range(K):
-            for s in range(n_m):
-                for l in range(n_r):
-                    inst.add_row(
-                        f"green_charge_k{k}_s{s}_l{l}",
-                        [(inst.var("chg", k, s, l), 1.0)],
-                        "<=",
-                        res[l, k],
-                    )
+        b.add_rows("ksl", [
+            _Rows("green_charge_{}", [("chg", 1.0)], "<=", inst.data["res"].T[:, None, :])
+        ])
 
 
-def encode_shared_energy(inst: MilpInstance, config: RecConfig) -> None:
+def encode_shared_energy(inst: MilpInstance, b: _Blocks) -> None:
     """Shared energy below the realized export and the members' demand.
 
     The demand cap is gated on the export indicator: equivalent for
@@ -754,37 +980,28 @@ def encode_shared_energy(inst: MilpInstance, config: RecConfig) -> None:
     tighter in the LP relaxation. Without ``exp_on`` (zero incentive, see
     ``encode_energy_balance``) the cap is the bound of ``shared`` instead.
     """
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
-    md = inst.data["md"]
-    for k in range(K):
-        for s in range(n_m):
-            for l in range(n_r):
-                suf = f"k{k}_s{s}_l{l}"
-                shared = inst.var("shared", k, s, l)
-                inst.add_row(
-                    f"shared_le_export_{suf}",
-                    [(shared, 1.0), (inst.var("exp", k, s, l), -1.0)],
-                    "<=",
-                    0.0,
-                )
-                if not inst.data["exchange_netting"]:
-                    inst.add_row(
-                        f"shared_cap_{suf}",
-                        [(shared, 1.0), (inst.var("exp_on", k, s, l), -md[l, k])],
-                        "<=",
-                        0.0,
-                    )
+    d = inst.data
+    b.add_rows("ksl", [
+        _Rows("shared_le_export_{}", [("shared", 1.0), ("exp", -1.0)], "<="),
+        _Rows(
+            "shared_cap_{}",
+            [("shared", 1.0), ("exp_on", -d["md"].T[:, None, :])],
+            "<=",
+            0.0,
+            not d["exchange_netting"],
+        ),
+    ])
 
 
-def encode_objective(
-    inst: MilpInstance,
-    config: RecConfig,
-    prices: ScenarioSet,
-    energies: ScenarioSet,
-    known_prices: tuple[DayTrajectory, DayTrajectory],
-) -> None:
-    """Expected cash flow, with pay-as-bid revenue linearized per price pick."""
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
+def encode_objective(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
+    """Expected cash flow, with pay-as-bid revenue linearized per price pick.
+
+    Coefficients enter ``inst.objective`` in the order a loop over (k, s, l)
+    and then over (k, j) would add them, the order
+    ``evaluate_objective`` sums in.
+    """
+    v = b.v
+    K, n_m = inst.data["K"], inst.data["n_m"]
     pm, pr = inst.data["pm"], inst.data["pr"]
     ce, ci = inst.data["ce"], inst.data["ci"]
     p_plus, p_minus = inst.data["penalty_sell"], inst.data["penalty_buy"]
@@ -793,67 +1010,44 @@ def encode_objective(
     pe, pi = config.p_export_max, config.p_import_max
     gamma = config.incentive_shared
 
-    for k in range(K):
-        for j in range(n_m):
-            _product_rows(
-                inst,
-                f"qty_pick_sell_k{k}_j{j}",
-                inst.var("qty_pick_sell", k, j),
-                inst.var("sell_qty", k),
-                inst.var("pick_sell", k, j),
-                pe,
-            )
-            _product_rows(
-                inst,
-                f"qty_pick_buy_k{k}_j{j}",
-                inst.var("qty_pick_buy", k, j),
-                inst.var("buy_qty", k),
-                inst.var("pick_buy", k, j),
-                pi,
-            )
+    b.add_rows(
+        "kj",
+        _product_rows("qty_pick_sell", "sell_qty", "pick_sell", pe)
+        + _product_rows("qty_pick_buy", "buy_qty", "pick_buy", pi),
+    )
     # One pick at most is active per hour, so the per-pick quantities sum
     # to the bid quantity at every integral point; stating that as a row
     # keeps the relaxation from splitting one quantity across prices.
-    for k in range(K):
-        inst.add_row(
-            f"qty_pick_sell_sum_k{k}",
-            [(inst.var("qty_pick_sell", k, j), 1.0) for j in range(n_m)]
-            + [(inst.var("sell_qty", k), -1.0)],
-            "=",
-            0.0,
-        )
-        inst.add_row(
-            f"qty_pick_buy_sum_k{k}",
-            [(inst.var("qty_pick_buy", k, j), 1.0) for j in range(n_m)]
-            + [(inst.var("buy_qty", k), -1.0)],
-            "=",
-            0.0,
-        )
+    b.add_rows("k", [
+        _Rows("qty_pick_sell_sum_{}", [("qty_pick_sell", 1.0), ("sell_qty", -1.0)], "="),
+        _Rows("qty_pick_buy_sum_{}", [("qty_pick_buy", 1.0), ("buy_qty", -1.0)], "="),
+    ])
 
-    obj = inst.objective
-    pr_total = float(pr.sum())
-    for k in range(K):
-        for s in range(n_m):
-            for l in range(n_r):
-                w = pm[s] * pr[l]
-                obj[inst.var("base_exp", k, s, l)] = obj.get(inst.var("base_exp", k, s, l), 0.0) + w * ce[k]
-                obj[inst.var("base_imp", k, s, l)] = obj.get(inst.var("base_imp", k, s, l), 0.0) - w * ci[k]
-                if gamma:
-                    obj[inst.var("shared", k, s, l)] = obj.get(inst.var("shared", k, s, l), 0.0) + w * gamma
-                obj[inst.var("short_sell", k, s, l)] = obj.get(inst.var("short_sell", k, s, l), 0.0) - w * p_plus
-                obj[inst.var("short_buy", k, s, l)] = obj.get(inst.var("short_buy", k, s, l), 0.0) + w * p_minus
+    w = (pm[:, None] * pr[None, :])[None]  # (1, n_m, n_r)
+    ce, ci = ce[:, None, None], ci[:, None, None]
+    terms = [("base_exp", 0.0 + w * ce), ("base_imp", 0.0 - w * ci)]
+    if gamma:
+        terms.append(("shared", 0.0 + w * gamma))
+    terms += [("short_sell", 0.0 - w * p_plus), ("short_buy", 0.0 + w * p_minus)]
+    vids = np.stack([v[sym] for sym, _coef in terms], axis=-1)
+    coefs = np.empty(vids.shape)
+    for i, (_sym, coef) in enumerate(terms):
+        coefs[..., i] = coef
+    inst.objective.update(zip(vids.reshape(-1).tolist(), coefs.reshape(-1).tolist()))
     # Pay-as-bid service terms: award times chosen price, expanded over the
-    # price picks. The energy-scenario probabilities sum out.
-    for k in range(K):
-        for j in range(n_m):
-            sell_coef = pr_total * sum(pm[s] * a_sell[k, s, j] for s in range(n_m)) * sell_max[j, k]
-            buy_coef = pr_total * sum(pm[s] * a_buy[k, s, j] for s in range(n_m)) * buy_min[j, k]
-            if sell_coef:
-                vid = inst.var("qty_pick_sell", k, j)
-                obj[vid] = obj.get(vid, 0.0) + sell_coef
-            if buy_coef:
-                vid = inst.var("qty_pick_buy", k, j)
-                obj[vid] = obj.get(vid, 0.0) - buy_coef
+    # price picks. The energy-scenario probabilities sum out; the price
+    # scenarios are summed one at a time, in order.
+    pr_total = float(pr.sum())
+    sell_weight, buy_weight = np.zeros((K, n_m)), np.zeros((K, n_m))
+    for s in range(n_m):
+        sell_weight = sell_weight + pm[s] * a_sell[:, s, :]
+        buy_weight = buy_weight + pm[s] * a_buy[:, s, :]
+    sell_coef = pr_total * sell_weight * sell_max.T
+    buy_coef = pr_total * buy_weight * buy_min.T
+    vids = np.stack([v["qty_pick_sell"], v["qty_pick_buy"]], axis=-1)
+    coefs = np.stack([0.0 + sell_coef, 0.0 - buy_coef], axis=-1)
+    used = np.stack([sell_coef != 0.0, buy_coef != 0.0], axis=-1)
+    inst.objective.update(zip(vids[used].tolist(), coefs[used].tolist()))
 
 
 @dataclass

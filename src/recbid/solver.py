@@ -153,9 +153,10 @@ def parse_lp(text: str) -> ParsedLp:
     The lines, in this order, with tokens split at whitespace: ``Maximize``;
     one objective line ``label: terms``; ``Subject To``; rows ``name: terms
     sense rhs`` with sense ``<=``, ``>=`` or ``=``; ``Bounds``; one line
-    ``lo <= x <= hi`` or ``x >= lo`` per variable; optionally ``Binaries``
-    and one declared name per line, which caps its upper bound at 1;
-    ``End``. Terms are ``sign number name`` with distinct names in a line,
+    ``lo <= x <= hi`` or ``x >= lo`` per variable, where ``lo`` may also
+    be ``-inf`` (a variable without a lower bound); optionally
+    ``Binaries`` and one declared name per line, which caps its upper
+    bound at 1; ``End``. Terms are ``sign number name`` with distinct names in a line,
     and every name in them needs a Bounds line. ``names`` is the Bounds
     order. Any other line raises ``ValueError("cannot parse <section> line:
     '<line>'")``, and so does text that ends before ``End``. Each distinct
@@ -168,6 +169,7 @@ def parse_lp(text: str) -> ParsedLp:
         "-": _Memo(lambda num: 0.0 - float(num) if _NUM_RE.fullmatch(num) else None),
     }
     value = _Memo(_value)
+    lower = _Memo(lambda tok: -np.inf if tok == "-inf" else value[tok])
     names_ok: set[str] = set()  # the names in the objective and the rows
 
     def split_terms(tokens: list[str], end: int) -> dict[str, float] | None:
@@ -216,9 +218,9 @@ def parse_lp(text: str) -> ParsedLp:
             break
         tokens = raw.split()
         if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
-            lo, name, hi = value[tokens[0]], tokens[2], value[tokens[4]]
+            lo, name, hi = lower[tokens[0]], tokens[2], value[tokens[4]]
         elif len(tokens) == 3 and tokens[1] == ">=":
-            lo, name, hi = value[tokens[2]], tokens[0], np.inf
+            lo, name, hi = lower[tokens[2]], tokens[0], np.inf
         else:
             raise _refused("Bounds", raw)
         valid = name in names_ok or _NAME_RE.fullmatch(name)

@@ -1,9 +1,12 @@
 import re
+from array import array
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from recbid.core import RecConfig, validate_program
 from recbid.harness import CASES, RunSpec, day_inputs, load_week_data
@@ -655,24 +658,138 @@ class TestSparseRows:
         assert (A @ x).tolist() == loop  # same products, same order: bit for bit
 
 
+def old_row_terms(terms) -> tuple:
+    """A row's ``(vid, coef)`` terms as the per-row builder stored them:
+    zero inputs dropped, duplicates summed in input order, sorted by id."""
+    coeffs = {}
+    for vid, coef in terms:
+        if coef != 0.0:
+            coeffs[vid] = coeffs.get(vid, 0.0) + coef
+    return tuple(sorted(coeffs.items()))
+
+
+ROW_BUFFERS = ("row_names", "row_senses", "row_rhs", "row_ptr", "row_cols", "row_vals")
+
+
+def six_vars() -> MilpInstance:
+    inst = MilpInstance()
+    for i in range(6):
+        inst.add_var("x", (i,), f"x_{i}", CONTINUOUS, 0.0, 1.0)
+    return inst
+
+
+def buffers(inst: MilpInstance) -> tuple:
+    """The six row buffers, floats and ints as bytes."""
+    return tuple(
+        buf.tobytes() if hasattr(buf, "tobytes") else list(buf)
+        for buf in (getattr(inst, name) for name in ROW_BUFFERS)
+    )
+
+
+class TestAddRows:
+    COEFS = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -3.25, 1e16, 1e20, np.float64(-0.0)]),
+        st.floats(-1e6, 1e6, allow_nan=False, width=64),
+        st.floats(-1e6, 1e6, allow_nan=False, width=64).map(np.float64),
+        st.integers(-3, 3),
+    )
+    ROWS = st.lists(
+        st.tuples(
+            st.lists(st.tuples(st.integers(0, 5), COEFS), max_size=8),
+            st.sampled_from(["<=", ">=", "="]),
+            st.one_of(st.floats(-1e6, 1e6, allow_nan=False), st.just(-0.0)),
+        ),
+        max_size=12,
+    )
+
+    @given(rows=ROWS)
+    def test_block_stores_what_rows_one_by_one_store(self, rows):
+        names = [f"r{i}" for i in range(len(rows))]
+        ptr = np.cumsum([0] + [len(terms) for terms, _sense, _rhs in rows])
+        cols = [vid for terms, _sense, _rhs in rows for vid, _coef in terms]
+        vals = [coef for terms, _sense, _rhs in rows for _vid, coef in terms]
+        block = six_vars()
+        block.add_rows(names, ptr, cols, vals, [r[1] for r in rows], [r[2] for r in rows])
+        one_by_one = six_vars()
+        for name, (terms, sense, rhs) in zip(names, rows):
+            one_by_one.add_row(name, terms, sense, rhs)
+        assert buffers(block) == buffers(one_by_one)
+        want = [(name, old_row_terms(row[0]), row[1], row[2]) for name, row in zip(names, rows)]
+        assert list(block.rows) == want
+        got_vals = array("d", [coef for _n, terms, _s, _r in block.rows for _v, coef in terms])
+        want_vals = array("d", [coef for _n, terms, _s, _r in want for _v, coef in terms])
+        assert got_vals.tobytes() == want_vals.tobytes()
+        assert block.row_rhs.tobytes() == array("d", [r[2] for r in rows]).tobytes()
+
+    def test_duplicates_sum_in_input_order(self):
+        inst = six_vars()
+        inst.add_rows(["r"], [0, 4], [2, 2, 0, 2], [1e16, 1.0, -0.0, 1.0], ["<="], [0.0])
+        # (1e16 + 1.0) + 1.0 is 1e16: a pairwise or reordered sum would differ.
+        assert inst.rows[0] == ("r", ((2, 1e16),), "<=", 0.0)
+
+    def test_empty_rows_and_empty_block(self):
+        inst = six_vars()
+        inst.add_rows([], [0], [], [], [], [])
+        inst.add_rows(["a", "b"], [0, 0, 1], [3], [0.0], ["=", ">="], [1.0, 2.0])
+        assert list(inst.rows) == [("a", (), "=", 1.0), ("b", (), ">=", 2.0)]
+        assert list(inst.row_ptr) == [0, 0, 0]
+
+    @pytest.mark.parametrize("sense", ["<", "=<", "==", ""])
+    def test_unknown_sense_anywhere_refuses_the_block(self, sense):
+        inst = six_vars()
+        inst.add_row("kept", [(0, 1.0)], "<=", 1.0)
+        before = buffers(inst)
+        with pytest.raises(ValueError, match=f"^row 'r1' has sense {sense!r}, not <=, >= or =$"):
+            inst.add_rows(
+                ["r0", "r1", "r2"], [0, 1, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0],
+                ["<=", sense, "="], [0.0, 0.0, 0.0],
+            )
+        assert buffers(inst) == before
+
+    def test_mismatched_lengths_refused(self):
+        inst = six_vars()
+        with pytest.raises(ValueError, match="2 row names, 1 senses"):
+            inst.add_rows(["a", "b"], [0, 1, 2], [0, 1], [1.0, 1.0], ["<="], [0.0, 0.0])
+        assert inst.n_rows == 0
+
+
+class TestBlockBuild:
+    def test_paper_scale_day_is_built_in_a_few_block_calls(self, monkeypatch):
+        # Guards against building rows or variables one call at a time.
+        spec = RunSpec(config=RecConfig(), case="base", n_m=10, n_r=10, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), 0
+        )
+        calls = dict.fromkeys(("add_var", "add_vars", "add_row", "add_rows"), 0)
+        for method in calls:
+            real = getattr(MilpInstance, method)
+
+            def counting(self, *args, _real=real, _method=method):
+                calls[_method] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(MilpInstance, method, counting)
+        inst = build_instance(config, prices, energies, known, allow_bids=allow_bids)
+        assert (inst.n_vars, inst.n_rows) == (43344, 51048)
+        assert calls["add_var"] == calls["add_row"] == 0
+        assert calls["add_vars"] <= 5 and calls["add_rows"] <= 1
+
+
 class TestRowView:
     @staticmethod
     def built_with_old_rows(inputs, monkeypatch):
         """The instance built from ``inputs`` and the (name, terms, sense,
         rhs) tuples that add_row stored when it kept a list of them."""
         old_rows = []
-        real = MilpInstance.add_row
+        real = MilpInstance.add_rows
 
-        def recording(self, name, terms, sense, rhs):
-            terms = list(terms)
-            coeffs = {}
-            for vid, coef in terms:
-                if coef != 0.0:
-                    coeffs[vid] = coeffs.get(vid, 0.0) + coef
-            old_rows.append((name, tuple(sorted(coeffs.items())), sense, rhs))
-            real(self, name, terms, sense, rhs)
+        def recording(self, names, ptr, cols, vals, senses, rhs):
+            for i, name in enumerate(names):
+                terms = zip(cols[ptr[i] : ptr[i + 1]], vals[ptr[i] : ptr[i + 1]])
+                old_rows.append((name, old_row_terms(terms), senses[i], rhs[i]))
+            real(self, names, ptr, cols, vals, senses, rhs)
 
-        monkeypatch.setattr(MilpInstance, "add_row", recording)
+        monkeypatch.setattr(MilpInstance, "add_rows", recording)
         inst = build_instance(*inputs)
         monkeypatch.undo()
         return inst, old_rows

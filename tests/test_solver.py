@@ -69,21 +69,61 @@ class TestEmit:
             emit_exchange(inst)
 
     # The exported text, byte for byte: other solvers and saved runs read it.
+    # Which of several tied plans HiGHS returns follows the variable order,
+    # so the text also holds the order fixed.
     PINNED_SHA256 = {
         "random0": "e1735a4810345d784aa9d06b7ab5a0c591a66574b540f62fa80d51eebd853a27",
         "random1": "815f74d9182473d38a0fc27397b087a19e931f9e48ab365a3c47f811003a7cf5",
         "random2": "22845f9fe103e69e3449834c8471535fb0337fd3d31184959656653a841947ca",
         "tiny": "e3950acdbe8a6cc34f09fa8bc1cc3fda155ba5f2472f9488441b92f3e02191ab",
+        "day0_base": "4e62da0c06fc71a7ed4be2f560f4d154536d678b7d7bae192a18c5df97f71d3a",
+        "day0_no_incentive": "881ad1b545bc84ffd60c44c61a0a875683136fb7aa9ad2903904b216b068b61d",
+        "day0_no_msd": "4d27aaf32aede4a782a3e51497c61622c484ec2ad0b9c015af40897d8b61bec7",
+        "day0_3x2_no_battery": "038905efd304b20122ff075470b8c139dab68c0c5b52f10beb4f30648d035a6b",
+        "day0_3x2_grid_charging": "c4f8d2d9d1e6718aac7720902d5b8297b6f1eac5b7846ec41988d9793101b98d",
+    }
+    # evaluate_objective at default_rng(0).random(n_vars), as float.hex: the
+    # objective dict's order is its summation order.
+    PINNED_OBJECTIVE = {
+        "random0": "-0x1.e2d898bb4e02ep-2",
+        "random1": "-0x1.30597ada2da29p-1",
+        "random2": "-0x1.15f81aa5c7de9p-1",
+        "tiny": "0x1.b14526eb93a58p-7",
+        "day0_base": "-0x1.02903d0e45e14p+2",
+        "day0_no_incentive": "-0x1.58b40a64405a1p+2",
+        "day0_no_msd": "-0x1.e5e9c9e07934ep+1",
+        "day0_3x2_no_battery": "-0x1.a0f935a774e00p+0",
+        "day0_3x2_grid_charging": "-0x1.a0f935a774e00p+0",
+    }
+    # Bundled-week day 0, scenario seed 0: (case, n_m, n_r, config changes).
+    PINNED_DAYS = {
+        "day0_base": ("base", 10, 10, {}),
+        "day0_no_incentive": ("no_incentive", 10, 10, {}),
+        "day0_no_msd": ("no_msd", 10, 10, {}),
+        "day0_3x2_no_battery": ("base", 3, 2, {"battery_capacity_kwh": 0.0}),
+        "day0_3x2_grid_charging": ("base", 3, 2, {"renewable_only_charging": False}),
     }
 
+    @classmethod
+    def pinned_instances(cls):
+        """(label, instance) pairs, built one at a time."""
+        for seed in range(3):
+            yield f"random{seed}", random_instance(seed)
+        yield "tiny", build_instance(*tiny_inputs())
+        data = load_week_data(WEEK_DATA_DIR)
+        for label, (case, n_m, n_r, changes) in cls.PINNED_DAYS.items():
+            spec = RunSpec(RecConfig(**changes), case=case, n_m=n_m, n_r=n_r, seed=0)
+            config, allow_bids, prices, energies, known = day_inputs(spec, data, 0)
+            yield label, build_instance(config, prices, energies, known, allow_bids=allow_bids)
+
     def test_pinned_texts(self):
-        insts = {f"random{seed}": random_instance(seed) for seed in range(3)}
-        insts["tiny"] = build_instance(*tiny_inputs())
-        got = {
-            label: hashlib.sha256(emit_exchange(inst).encode()).hexdigest()
-            for label, inst in insts.items()
-        }
-        assert got == self.PINNED_SHA256
+        got_text, got_objective = {}, {}
+        for label, inst in self.pinned_instances():
+            got_text[label] = hashlib.sha256(emit_exchange(inst).encode()).hexdigest()
+            x = np.random.default_rng(0).random(inst.n_vars)
+            got_objective[label] = inst.evaluate_objective(x).hex()
+        assert got_text == self.PINNED_SHA256
+        assert got_objective == self.PINNED_OBJECTIVE
 
     def test_numpy_scalars_signed_zeros_and_infinite_bounds(self):
         inst = MilpInstance()
@@ -159,6 +199,24 @@ class TestParseLp:
         assert [parsed.ub[name] for name in names] == inst.ub
         assert parsed.binaries == {names[i] for i in inst.binary_ids()}
 
+    def test_minus_infinite_lower_bounds_round_trip(self):
+        # Both Bounds forms: with an upper bound, and without one (free).
+        inst = MilpInstance()
+        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, -np.inf, 5.0)
+        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, -np.inf, np.inf)
+        inst.add_row("cap", [(x, 1.0), (y, 1.0)], "<=", 3.0)
+        inst.add_row("floor", [(y, 1.0)], ">=", -2.0)
+        inst.objective.update({x: 1.0, y: -1.0})
+        text = emit_exchange(inst)
+        assert " -inf <= x_0 <= 5.0\n" in text and " y_0 >= -inf\n" in text
+        parsed = parse_lp(text)
+        assert parsed.lb == {"x_0": -np.inf, "y_0": -np.inf}
+        assert parsed.ub == {"x_0": 5.0, "y_0": np.inf}
+        res = highs_runner.solve_parsed(parsed, 60.0, 1e-9)
+        assert res.status == 0 and res.x.tolist() == [5.0, -2.0] and -res.fun == 7.0
+        sol = solve_external(inst, None, 60.0, 1e-9)
+        assert sol.values.tolist() == res.x.tolist()
+
     def test_complete_bounds_section_sets_the_order(self):
         parsed = parse_lp(
             "Maximize\n"
@@ -218,6 +276,12 @@ class TestParseLp:
             ("Binaries", " z"),
             ("Binaries", " x"),
             ("End", " ignored: + 1.0 x <= 1.0"),
+            # -inf is a lower bound's value and nothing else's.
+            ("Bounds", " 0.0 <= y <= -inf"),
+            ("Bounds", " -inf <= y <= inf"),
+            ("Bounds", " inf <= y <= 1.0"),
+            ("Bounds", " y >= +inf"),
+            ("Subject To", " r2: + 1.0 x <= -inf"),
         ],
     )
     def test_unparsable_lines_refused(self, section, line):
