@@ -25,7 +25,6 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, compress, product, repeat
 from typing import NamedTuple
 
@@ -197,8 +196,9 @@ class MilpInstance:
         the right-hand side ``rhs[i]``. In each row, zero coefficients of
         either sign are dropped, the rest sorted by variable id, and
         duplicate ids summed in input order. A sense other than ``<=``,
-        ``>=`` and ``=``, or inputs of mismatched lengths, are refused
-        before any row is stored.
+        ``>=`` and ``=``, a column id outside ``[0, n_vars)`` (-1 is what
+        ``add_vars`` gives an absent variable), or inputs of mismatched
+        lengths are refused before any row is stored.
         """
         n = len(names)
         ptr = np.asarray(ptr, dtype=np.int64)
@@ -219,6 +219,12 @@ class MilpInstance:
         if not _SENSES.issuperset(senses):
             i = next(i for i, sense in enumerate(senses) if sense not in _SENSES)
             raise ValueError(f"row {names[i]!r} has sense {senses[i]!r}, not <=, >= or =")
+        if cols.size and (cols.min() < 0 or cols.max() >= self.n_vars):
+            term = np.flatnonzero((cols < 0) | (cols >= self.n_vars))[0]
+            i = np.searchsorted(ptr, term, side="right") - 1
+            raise ValueError(
+                f"row {names[i]!r} has column id {cols[term]}, not in [0, {self.n_vars})"
+            )
         # A few thousand rows at a time, so that the sort's scratch arrays
         # stay small next to the model.
         for first_row in range(0, n, _ROW_CHUNK):
@@ -544,103 +550,9 @@ def _somewhere(present) -> bool:
     return present is None or present is True or (present is not False and present.any())
 
 
-class _BlockLayout(NamedTuple):
-    """One queued block's part of a ``_GridLayout``, per cell of the grid."""
-
-    picks: np.ndarray  # the id column of each term, family by family
-    values: np.ndarray  # the day value of each term, then of each right-hand side
-    widths: np.ndarray  # terms per family
-    slots: tuple  # (value, slot) of each term and right-hand side; a slice if over j
-    names: tuple[tuple[str, str], ...]  # per family: name before and after the cell
-    senses: tuple[str, ...]  # per family
-
-
-class _GridLayout(NamedTuple):
-    """The part of a grid's row blocks that days of one shape share; see
-    ``_grid_layout``."""
-
-    parts: tuple  # (group, axis order, aligned shape, first column, end column)
-    n_cols: int
-    blocks: tuple[_BlockLayout, ...]
-
-
-@lru_cache(maxsize=64)
-def _grid_layout(axes: str, shape: tuple[int, ...], groups: tuple, blocks: tuple) -> _GridLayout:
-    """Where each term of the row blocks over one grid takes its id and its
-    value from.
-
-    ``groups`` holds ``(axes, symbols, shape)`` of each group of ids, in
-    order, and ``blocks`` the ``(name, symbols, sense)`` of the families
-    of each block queued over the grid. The ids of the groups that the
-    families use are laid side by side as columns, each aligned to the
-    grid: a symbol over the grid's axes, or fewer of them, has one column,
-    and one with an axis the grid lacks (the price choices j) a column per
-    index of it. In a cell, a family's terms take their symbols' columns
-    in order. A day's values are the terms' coefficients, numbered over
-    the grid's families in order, then the families' right-hand sides; a
-    block's cell holds its terms' values, then its right-hand sides. Pure,
-    and cached because it does not change between days of one shape.
-    """
-    used = {sym for fams in blocks for _name, syms, _sense in fams for sym in syms}
-    parts, columns, n_cols = [], {}, 0
-    for g, (ids_axes, syms, ids_shape) in enumerate(groups):
-        if used.isdisjoint(syms):
-            continue
-        own = [ids_axes.index(a) for a in axes if a in ids_axes]
-        extra = [i for i, a in enumerate(ids_axes) if a not in axes]
-        width = math.prod(ids_shape[i] for i in extra) * len(syms)
-        for i, sym in enumerate(syms):
-            columns[sym] = list(range(n_cols + i, n_cols + width, len(syms))), bool(extra)
-        aligned = tuple(ids_shape[ids_axes.index(a)] if a in ids_axes else 1 for a in axes)
-        parts.append((g, (*own, *extra, len(ids_axes)), (*aligned, width), n_cols, n_cols + width))
-        n_cols += width
-    n_terms = sum(len(syms) for fams in blocks for _name, syms, _sense in fams)
-    term, rhs, layouts = 0, n_terms, []
-    for fams in blocks:
-        picks, values, widths, slots = [], [], [], []
-        for _name, syms, _sense in fams:
-            start = len(picks)
-            for sym in syms:
-                cols, over_j = columns[sym]
-                at = len(picks)
-                slots.append((term, slice(at, at + len(cols)) if over_j else at))
-                values += [term] * len(cols)
-                picks += cols
-                term += 1
-            widths.append(len(picks) - start)
-        for _family in fams:
-            slots.append((rhs, len(values)))
-            values.append(rhs)
-            rhs += 1
-        layouts.append(_BlockLayout(
-            np.array(picks, dtype=np.intp),
-            np.array(values, dtype=np.intp),
-            np.array(widths, dtype=np.int64),
-            tuple(slots),
-            tuple(tuple(name.split("{}")) for name, _syms, _sense in fams),
-            tuple(sense for _name, _syms, sense in fams),
-        ))
-    return _GridLayout(tuple(parts), n_cols, tuple(layouts))
-
-
-class _Plan(NamedTuple):
-    """A queued block ready to be made: its grid's ids and day values, and
-    the rows it keeps."""
-
-    axes: str
-    block: _BlockLayout
-    ids: np.ndarray  # (cells, columns) of the grid
-    given: list  # the grid's day values: coefficients, then right-hand sides
-    day: np.ndarray  # the same, with arrays as 0
-    keep: np.ndarray | None  # the rows kept, cell by cell; None for every row
-    terms: np.ndarray | None  # the terms kept
-    widths: np.ndarray  # terms per kept row
-    n_terms: int
-
-
 class _Blocks:
-    """The builder's blocks: variable ids by symbol, and the row families
-    that ``store_rows`` adds in one ``add_rows`` call.
+    """The builder's blocks: variable ids by symbol, and the rows of the
+    blocks made so far, which ``store_rows`` adds in one ``add_rows`` call.
 
     A grid is named by its axes: ``k`` hours, ``kj`` hours by price
     choices, ``ks`` hours by price scenarios, ``ksl`` hours by price and
@@ -657,8 +569,11 @@ class _Blocks:
         by_ksl = np.array(self.sufs["ksl"], dtype=object).reshape(K, n_m, n_r)
         self.sufs["slk"] = by_ksl.transpose(1, 2, 0).reshape(-1).tolist()
         self.v: dict[str, np.ndarray] = {}  # ids over the symbol's grid
-        self.groups: list[tuple[str, tuple[str, ...], np.ndarray]] = []  # axes, symbols, ids
-        self.queue: list[tuple[str, list[_Rows]]] = []
+        self.axes: dict[str, str] = {}  # the axes of the symbol's grid
+        self.aligned: dict[tuple[str, str], np.ndarray] = {}  # see ids_on
+        self.names: list[str] = []
+        self.senses: list[str] = []
+        self.made: tuple[list, list, list, list] = ([], [], [], [])  # widths, cols, vals, rhs
 
     def add_vars(self, inst: MilpInstance, axes: str, specs) -> None:
         """``inst.add_vars`` over a grid for ``(sym, kind, lo, hi[, present])``
@@ -674,105 +589,89 @@ class _Blocks:
     def add_ids(self, axes: str, syms: tuple[str, ...], ids: np.ndarray) -> None:
         """Make ids over a grid, one symbol per last index, usable as row
         terms by symbol."""
-        self.v.update((sym, ids[..., i]) for i, sym in enumerate(syms))
-        self.groups.append((axes, syms, ids))
+        for i, sym in enumerate(syms):
+            self.v[sym], self.axes[sym] = ids[..., i], axes
+
+    def ids_on(self, axes: str, sym: str) -> np.ndarray:
+        """``sym``'s ids aligned to a grid: the grid's axes in its order,
+        size 1 where the symbol lacks one, and the axes the grid lacks (the
+        price choices j) flattened into one more, last axis."""
+        key = (axes, sym)
+        if key not in self.aligned:
+            ids, own = self.v[sym], self.axes[sym]
+            extra = [i for i, a in enumerate(own) if a not in axes]
+            order = [own.index(a) for a in axes if a in own] + extra
+            shape = [ids.shape[own.index(a)] if a in own else 1 for a in axes]
+            if extra:
+                shape.append(math.prod(ids.shape[i] for i in extra))
+            self.aligned[key] = ids.transpose(order).reshape(shape)
+        return self.aligned[key]
 
     def add_rows(self, axes: str, families: list[_Rows]) -> None:
-        """Queue a block over a grid: cell by cell in C order, the row of
-        each family present there, in family order."""
-        self.queue.append((axes, [f for f in families if _somewhere(f.present)]))
+        """Make a block over a grid: cell by cell in C order, the row of
+        each family present there, in family order.
+
+        A cell's terms are laid out family by family in one array over the
+        grid, a term over the price choices taking a column per choice.
+        """
+        shape = self.shapes[axes]
+        families = [f for f in families if _somewhere(f.present)]
+        placed, widths, at = [], [], 0
+        for f in families:
+            start = at
+            for sym, coef in f.terms:
+                ids = self.ids_on(axes, sym)
+                if ids.ndim == len(shape):  # one column
+                    slot, at = at, at + 1
+                else:  # a column per price choice
+                    slot, at = slice(at, at + ids.shape[-1]), at + ids.shape[-1]
+                placed.append((slot, ids, coef))
+            widths.append(at - start)
+        cols = np.empty(shape + (at,), dtype=np.int64)
+        vals = np.empty(cols.shape)
+        for slot, ids, coef in placed:
+            cols[..., slot], vals[..., slot] = ids, coef
+        rhs = np.empty(shape + (len(families),))
+        present = np.ones(rhs.shape, dtype=bool)
+        for i, f in enumerate(families):
+            rhs[..., i] = f.rhs
+            if f.present is not None:
+                present[..., i] = f.present
+        n_cells = math.prod(shape)
+        widths = np.tile(widths, n_cells)
+        cols, vals, rhs = cols.reshape(-1), vals.reshape(-1), rhs.reshape(-1)
+        parts = [f.name.split("{}") for f in families]
+        names = [head + suf + tail for suf in self.sufs[axes] for head, tail in parts]
+        senses = [f.sense for f in families] * n_cells
+        if not present.all():
+            keep = present.reshape(-1)
+            terms_kept = np.repeat(keep, widths)
+            cols, vals, rhs, widths = cols[terms_kept], vals[terms_kept], rhs[keep], widths[keep]
+            keep = keep.tolist()
+            names, senses = compress(names, keep), compress(senses, keep)
+        self.names.extend(names)
+        self.senses.extend(senses)
+        for made, part in zip(self.made, (widths, cols, vals, rhs)):
+            made.append(part)
 
     def store_rows(self, inst: MilpInstance) -> None:
-        """The queued blocks, in order, in one ``inst.add_rows`` call; the
-        builder's ids are let go.
+        """The blocks made, in order, in one ``inst.add_rows`` call.
 
-        Each block is copied into the joined arrays as soon as it is made,
-        so that a paper-scale day needs little scratch memory beside the
-        model's own.
+        The builder's ids go first, and each part's blocks as soon as that
+        part is joined, so that a paper-scale day needs little scratch
+        memory beside the model's own.
         """
-        plans: list[_Plan] = [None] * len(self.queue)
-        by_grid: dict[str, list[int]] = {}
-        for i, (axes, _families) in enumerate(self.queue):
-            by_grid.setdefault(axes, []).append(i)
-        for axes, queued in by_grid.items():
-            for i, plan in zip(queued, self._grid_plans(axes, queued)):
-                plans[i] = plan
-        self.queue.clear()
-        n_rows = sum(len(plan.widths) for plan in plans)
-        n_terms = sum(plan.n_terms for plan in plans)
-        names, senses = [], []
-        widths = np.zeros(n_rows + 1, dtype=np.int64)
-        cols, vals = np.empty(n_terms, dtype=np.int64), np.empty(n_terms)
-        rhs = np.empty(n_rows)
-        row = term = 0
-        for plan in plans:
-            block_names, block_senses, block_cols, block_vals, block_rhs = self._made(plan)
-            names += block_names
-            senses += block_senses
-            end_row, end_term = row + len(plan.widths), term + plan.n_terms
-            widths[row + 1 : end_row + 1] = plan.widths
-            cols[term:end_term], vals[term:end_term] = block_cols, block_vals
-            rhs[row:end_row] = block_rhs
-            row, term = end_row, end_term
-        del plans
-        self.groups.clear()
         self.v.clear()
-        inst.add_rows(names, np.cumsum(widths, out=widths), cols, vals, senses, rhs)
-
-    def _grid_plans(self, axes: str, queued: list[int]):
-        """The ``_Plan`` of each queued block over one grid."""
-        shape = self.shapes[axes]
-        n_cells = math.prod(shape)
-        families = [self.queue[i][1] for i in queued]
-        groups = tuple((g_axes, syms, ids.shape[:-1]) for g_axes, syms, ids in self.groups)
-        signature = tuple(
-            tuple((f.name, tuple(term[0] for term in f.terms), f.sense) for f in fams)
-            for fams in families
-        )
-        layout = _grid_layout(axes, shape, groups, signature)
-        ids = np.empty(shape + (layout.n_cols,), dtype=np.int64)
-        for g, order, aligned, start, end in layout.parts:
-            ids[..., start:end] = self.groups[g][2].transpose(order).reshape(aligned)
-        ids = ids.reshape(n_cells, -1)
-        flat = [f for fams in families for f in fams]
-        given = [term[1] for f in flat for term in f.terms] + [f.rhs for f in flat]
-        day = np.array([0.0 if isinstance(x, np.ndarray) else x for x in given])
-        for fams, block in zip(families, layout.blocks):
-            widths = np.empty((n_cells, len(fams)), dtype=np.int64)
-            widths[...] = block.widths
-            widths = widths.reshape(-1)
-            if all(f.present is None or f.present is True for f in fams):
-                n_terms = n_cells * len(block.picks)
-                yield _Plan(axes, block, ids, given, day, None, None, widths, n_terms)
-                continue
-            present = np.ones(shape + (len(fams),), dtype=bool)
-            for f, family in enumerate(fams):
-                if family.present is not None and family.present is not True:
-                    present[..., f] = family.present
-            keep = present.reshape(-1)
-            terms = np.repeat(keep, widths)
-            kept = widths[keep]
-            yield _Plan(axes, block, ids, given, day, keep, terms, kept, int(kept.sum()))
-
-    def _made(self, plan: _Plan):
-        """``(names, senses, cols, vals, rhs)`` of the rows a block keeps."""
-        shape = self.shapes[plan.axes]
-        n_cells, block = len(plan.ids), plan.block
-        v = np.repeat(plan.day[block.values][None, :], n_cells, axis=0)
-        grid = v.reshape(shape + block.values.shape)
-        for value, slot in block.slots:
-            if isinstance(plan.given[value], np.ndarray):
-                grid[..., slot] = plan.given[value]
-        n_terms = len(block.picks)
-        cols, vals = plan.ids[:, block.picks].reshape(-1), v[:, :n_terms].reshape(-1)
-        rhs = v[:, n_terms:].reshape(-1)
-        names = [head + suf + tail for suf in self.sufs[plan.axes] for head, tail in block.names]
-        senses = block.senses * n_cells
-        if plan.keep is not None:
-            mask = plan.keep.tolist()
-            names, senses = list(compress(names, mask)), compress(senses, mask)
-            cols, vals, rhs = cols[plan.terms], vals[plan.terms], rhs[plan.keep]
-        return names, list(senses), cols, vals, rhs
+        self.aligned.clear()
+        widths, *parts = self.made
+        ptr = np.concatenate([[0], *widths])
+        np.cumsum(ptr, out=ptr)
+        widths.clear()
+        for i, part in enumerate(parts):
+            parts[i] = np.concatenate(part)
+            part.clear()
+        cols, vals, rhs = parts
+        inst.add_rows(self.names, ptr, cols, vals, self.senses, rhs)
 
 
 def encode_bidding(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
@@ -1062,11 +961,14 @@ class Solution:
 
 
 def check_solution(inst: MilpInstance, values: np.ndarray, tol: float = FEAS_TOL) -> list[str]:
-    """Independent audit: every row, bound and binary within tolerance."""
+    """Independent audit: every value finite, and every row, bound and
+    binary within tolerance."""
     v: list[str] = []
     values = np.asarray(values, dtype=float)
     if values.shape != (inst.n_vars,):
         return [f"solution has {values.shape} values for {inst.n_vars} variables"]
+    for i in np.flatnonzero(~np.isfinite(values)):
+        v.append(f"{inst.names[i]} = {values[i]} is not finite")
     lb = np.asarray(inst.lb)
     ub = np.asarray(inst.ub)
     low = np.flatnonzero(values < lb - tol)

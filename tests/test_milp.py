@@ -746,6 +746,19 @@ class TestAddRows:
             )
         assert buffers(inst) == before
 
+    @pytest.mark.parametrize("vid", [-1, 6])
+    def test_column_id_outside_the_variables_refuses_the_block(self, vid):
+        # -1 is add_vars's id of an absent variable; 6 is one past the last.
+        inst = six_vars()
+        inst.add_row("kept", [(0, 1.0)], "<=", 1.0)
+        before = buffers(inst)
+        with pytest.raises(ValueError, match=f"^row 'r1' has column id {vid}, not in \\[0, 6\\)$"):
+            inst.add_rows(
+                ["r0", "r1", "r2"], [0, 1, 3, 4], [0, 2, vid, 5], [1.0, 1.0, 0.0, 1.0],
+                ["<=", ">=", "="], [0.0, 0.0, 0.0],
+            )
+        assert buffers(inst) == before
+
     def test_mismatched_lengths_refused(self):
         inst = six_vars()
         with pytest.raises(ValueError, match="2 row names, 1 senses"):
@@ -847,6 +860,19 @@ class TestCheckSolution:
         assert check_solution(self.audited_instance(), np.array([5.0, -2.0])) == [
             "solution has (2,) values for 3 variables"
         ]
+
+    def test_values_that_are_not_finite_are_reported_first(self):
+        # Every comparison with nan is false, so no bound or row check sees it.
+        got = check_solution(self.audited_instance(), np.array([np.nan, -2.0, 0.0]))
+        assert got == [
+            "x_0 = nan is not finite",
+            "y_0 = -2.0 below lower bound -1.0",
+            "ge_0: -2.0 < 0.0",
+        ]
+        inst = random_instance(0)
+        got = check_solution(inst, np.full(inst.n_vars, np.nan))
+        assert len(got) == inst.n_vars
+        assert all(line.endswith(" = nan is not finite") for line in got)
 
     def test_every_violation_kind_in_order(self):
         # x above its bound, y below, z fractional, and each row broken:

@@ -75,10 +75,12 @@ class TestEmit:
         "random0": "e1735a4810345d784aa9d06b7ab5a0c591a66574b540f62fa80d51eebd853a27",
         "random1": "815f74d9182473d38a0fc27397b087a19e931f9e48ab365a3c47f811003a7cf5",
         "random2": "22845f9fe103e69e3449834c8471535fb0337fd3d31184959656653a841947ca",
+        "desk1": "8f0e63820ad790d0a3d46c09d22e47eaef4b628b7c08304cbc14cc7f24cd862e",
         "tiny": "e3950acdbe8a6cc34f09fa8bc1cc3fda155ba5f2472f9488441b92f3e02191ab",
         "day0_base": "4e62da0c06fc71a7ed4be2f560f4d154536d678b7d7bae192a18c5df97f71d3a",
         "day0_no_incentive": "881ad1b545bc84ffd60c44c61a0a875683136fb7aa9ad2903904b216b068b61d",
         "day0_no_msd": "4d27aaf32aede4a782a3e51497c61622c484ec2ad0b9c015af40897d8b61bec7",
+        "day0_neither": "474cf4fb594096f3db9a1adbaf045d9d05a0237a9c5083c036595fc99b283d33",
         "day0_3x2_no_battery": "038905efd304b20122ff075470b8c139dab68c0c5b52f10beb4f30648d035a6b",
         "day0_3x2_grid_charging": "c4f8d2d9d1e6718aac7720902d5b8297b6f1eac5b7846ec41988d9793101b98d",
     }
@@ -88,10 +90,12 @@ class TestEmit:
         "random0": "-0x1.e2d898bb4e02ep-2",
         "random1": "-0x1.30597ada2da29p-1",
         "random2": "-0x1.15f81aa5c7de9p-1",
+        "desk1": "0x1.a275837e52563p-3",
         "tiny": "0x1.b14526eb93a58p-7",
         "day0_base": "-0x1.02903d0e45e14p+2",
         "day0_no_incentive": "-0x1.58b40a64405a1p+2",
         "day0_no_msd": "-0x1.e5e9c9e07934ep+1",
+        "day0_neither": "-0x1.791aa6ff4e300p+2",
         "day0_3x2_no_battery": "-0x1.a0f935a774e00p+0",
         "day0_3x2_grid_charging": "-0x1.a0f935a774e00p+0",
     }
@@ -100,6 +104,7 @@ class TestEmit:
         "day0_base": ("base", 10, 10, {}),
         "day0_no_incentive": ("no_incentive", 10, 10, {}),
         "day0_no_msd": ("no_msd", 10, 10, {}),
+        "day0_neither": ("neither", 10, 10, {}),
         "day0_3x2_no_battery": ("base", 3, 2, {"battery_capacity_kwh": 0.0}),
         "day0_3x2_grid_charging": ("base", 3, 2, {"renewable_only_charging": False}),
     }
@@ -109,6 +114,8 @@ class TestEmit:
         """(label, instance) pairs, built one at a time."""
         for seed in range(3):
             yield f"random{seed}", random_instance(seed)
+        # The oracle_desk benchmark's shape, with a battery and an incentive.
+        yield "desk1", random_instance(1, K=2, nm=2, nr=1)
         yield "tiny", build_instance(*tiny_inputs())
         data = load_week_data(WEEK_DATA_DIR)
         for label, (case, n_m, n_r, changes) in cls.PINNED_DAYS.items():
