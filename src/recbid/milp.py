@@ -997,8 +997,10 @@ def check_solution(inst: MilpInstance, values: np.ndarray, tol: float = FEAS_TOL
 def round_binaries(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
     """Snap binaries to 0/1; loud failure if that breaks any row."""
     out = np.asarray(values, dtype=float).copy()
-    for i in inst.binary_ids():
-        out[i] = round(out[i])
+    binaries = inst.binary_ids()
+    # np.round keeps a nan, so that the audit names it; + 0.0 writes -0.0
+    # as 0.0.
+    out[binaries] = np.round(out[binaries]) + 0.0
     bad = check_solution(inst, out, tol=ROUND_TOL)
     if bad:
         raise RuntimeError(

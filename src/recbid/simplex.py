@@ -63,6 +63,10 @@ class _Tableau:
         self.basis = np.empty(self.m, dtype=int)
         self.binv = np.empty((self.m, self.m))
         self.pivots = 0
+        # Imported here so that importing the package does not load scipy.linalg.
+        from scipy.linalg.blas import dger
+
+        self.dger = dger
 
     def set_basis(self, basis):
         self.basis = np.array(basis, dtype=int)  # own copy: pivots mutate it
@@ -74,30 +78,34 @@ class _Tableau:
 
         Slack and artificial columns are signed unit vectors, so B^-1 follows
         from the inverse of the square block of the basic structural columns
-        on the rows that no unit column covers.
+        on the rows that no unit column covers. Those rows' columns of B^-1
+        are filled as one block; each covered row's column holds one sign.
         """
         ns, m = self.ns, self.m
         basis = self.basis
-        struct = np.flatnonzero(basis < ns)
-        unit = np.flatnonzero(basis >= ns)
+        is_unit = basis >= ns
+        struct = (~is_unit).nonzero()[0]
+        unit = is_unit.nonzero()[0]
         unit_row = (basis[unit] - ns) % m
         sign = np.where(basis[unit] < ns + m, 1.0, self.art_sign[unit_row])
         covered = np.zeros(m, dtype=bool)
         covered[unit_row] = True
-        rest = np.flatnonzero(~covered)
+        rest = (~covered).nonzero()[0]
         A_struct = self.A[:, basis[struct]]
         inv = np.linalg.inv(A_struct[rest])
+        block = np.empty((m, len(rest)))
+        block[struct] = inv
+        block[unit] = -sign[:, None] * (A_struct[unit_row] @ inv)
         binv = np.zeros((m, m))
-        binv[np.ix_(struct, rest)] = inv
+        binv[:, rest] = block
         binv[unit, unit_row] = sign
-        binv[np.ix_(unit, rest)] = -sign[:, None] * (A_struct[unit_row] @ inv)
         self.binv = binv
         self.resync()
 
     def resync(self):
         ns, m = self.ns, self.m
         nonbasic = self.status != BASIC
-        struct_nb = np.flatnonzero(nonbasic[:ns])
+        struct_nb = nonbasic[:ns].nonzero()[0]
         rhs = self.b - self.A[:, struct_nb] @ self.x[struct_nb]
         rhs -= np.where(nonbasic[ns : ns + m], self.x[ns : ns + m], 0.0)
         rhs -= np.where(nonbasic[ns + m :], self.art_sign * self.x[ns + m :], 0.0)
@@ -105,11 +113,7 @@ class _Tableau:
 
     def reduced_costs(self, c):
         y = c[self.basis] @ self.binv
-        rc = np.empty(self.n)
-        rc[: self.ns] = c[: self.ns] - y @ self.A
-        rc[self.ns : self.ns + self.m] = c[self.ns : self.ns + self.m] - y
-        rc[self.ns + self.m :] = c[self.ns + self.m :] - y * self.art_sign
-        return rc
+        return c - np.concatenate((y @ self.A, y, y * self.art_sign))
 
     def direction(self, j: int) -> np.ndarray:
         if j < self.ns:
@@ -124,10 +128,7 @@ class _Tableau:
         eta = -direction / piv
         eta[leave_pos] = 1.0 / piv - 1.0
         # binv += outer(eta, binv[leave_pos]) in place, on the Fortran view.
-        # Imported here so that importing the package does not load scipy.linalg.
-        from scipy.linalg.blas import dger
-
-        dger(1.0, self.binv[leave_pos].copy(), eta, a=self.binv.T, overwrite_a=True)
+        self.dger(1.0, self.binv[leave_pos].copy(), eta, a=self.binv.T, overwrite_a=True)
         self.basis[leave_pos] = entering
         self.pivots += 1
         if self.pivots % REFACTOR_EVERY == 0:
@@ -136,34 +137,33 @@ class _Tableau:
 
 def _maximize(tab: _Tableau, c: np.ndarray, max_iter: int):
     """Run primal iterations on a feasible tableau; returns (status, iters, rc)."""
-    fixed = tab.ub - tab.lb <= FEAS_TOL
+    free = ~(tab.ub - tab.lb <= FEAS_TOL)
     best = -np.inf
     stalled = 0
     bland = False
     for it in range(max_iter):
         rc = tab.reduced_costs(c)
-        improving_low = (tab.status == AT_LOWER) & ~fixed & (rc > RC_TOL)
-        improving_up = (tab.status == AT_UPPER) & ~fixed & (rc < -RC_TOL)
-        candidates = np.flatnonzero(improving_low | improving_up)
+        status = tab.status
+        improving = ((status == AT_LOWER) & (rc > RC_TOL)) | ((status == AT_UPPER) & (rc < -RC_TOL))
+        candidates = (free & improving).nonzero()[0]
         if candidates.size == 0:
             return "optimal", it, rc
         if bland:
             j = int(candidates[0])
         else:
-            j = int(candidates[np.argmax(np.abs(rc[candidates]))])
-        sigma = 1.0 if tab.status[j] == AT_LOWER else -1.0
+            j = int(candidates[np.abs(rc[candidates]).argmax()])
+        sigma = 1.0 if status[j] == AT_LOWER else -1.0
 
         d = tab.direction(j)
         # Largest step before a basic variable or the entering variable
         # itself reaches a bound.
-        xb = tab.x[tab.basis]
-        lo_b = tab.lb[tab.basis]
-        up_b = tab.ub[tab.basis]
-        step = np.full(tab.m, np.inf)
-        pos = sigma * d > FEAS_TOL
-        neg = sigma * d < -FEAS_TOL
-        step[pos] = (xb[pos] - lo_b[pos]) / (sigma * d[pos])
-        step[neg] = (up_b[neg] - xb[neg]) / (-sigma * d[neg])
+        basis = tab.basis
+        xb = tab.x[basis]
+        sd = sigma * d
+        pos = sd > FEAS_TOL
+        room = np.where(pos, xb - tab.lb[basis], tab.ub[basis] - xb)
+        moving = pos | (sd < -FEAS_TOL)
+        step = np.divide(room, np.abs(sd), out=np.full(tab.m, np.inf), where=moving)
         step_min = step.min(initial=np.inf)
         own = tab.ub[j] - tab.lb[j]
         t = min(step_min, own)
@@ -172,22 +172,22 @@ def _maximize(tab: _Tableau, c: np.ndarray, max_iter: int):
 
         if own <= step_min:
             # bound flip, basis unchanged
-            tab.x[tab.basis] = xb - sigma * own * d
+            tab.x[basis] = xb - sigma * own * d
             tab.x[j] = tab.ub[j] if tab.status[j] == AT_LOWER else tab.lb[j]
             tab.status[j] = AT_UPPER if tab.status[j] == AT_LOWER else AT_LOWER
         else:
-            hits = np.flatnonzero(step <= t + FEAS_TOL)
+            hits = (step <= t + FEAS_TOL).nonzero()[0]
             if bland:
                 leave_pos = int(hits[np.argmin(tab.basis[hits])])
             else:
                 # most stable pivot among the ties
-                leave_pos = int(hits[np.argmax(np.abs(d[hits]))])
+                leave_pos = int(hits[np.abs(d[hits]).argmax()])
             t = max(step[leave_pos], 0.0)
-            leaving = tab.basis[leave_pos]
-            tab.x[tab.basis] = xb - sigma * t * d
+            leaving = basis[leave_pos]
+            tab.x[basis] = xb - sigma * t * d
             tab.x[j] = tab.x[j] + sigma * t
-            tab.x[leaving] = tab.lb[leaving] if sigma * d[leave_pos] > 0 else tab.ub[leaving]
-            tab.status[leaving] = AT_LOWER if sigma * d[leave_pos] > 0 else AT_UPPER
+            tab.x[leaving] = tab.lb[leaving] if sd[leave_pos] > 0 else tab.ub[leaving]
+            tab.status[leaving] = AT_LOWER if sd[leave_pos] > 0 else AT_UPPER
             tab.status[j] = BASIC
             # x is maintained incrementally; refactor() resyncs periodically
             tab.pivot(j, leave_pos, d)
@@ -212,7 +212,7 @@ def _dual(tab: _Tableau, c: np.ndarray, max_iter: int):
     and never enter.
     """
     ns, nm = tab.ns, tab.ns + tab.m
-    fixed = tab.ub[:nm] - tab.lb[:nm] <= FEAS_TOL
+    free = ~(tab.ub[:nm] - tab.lb[:nm] <= FEAS_TOL)
     best = np.inf
     stalled = 0
     bland = False
@@ -220,15 +220,16 @@ def _dual(tab: _Tableau, c: np.ndarray, max_iter: int):
         basis = tab.basis
         xb = tab.x[basis]
         infeas = np.maximum(tab.lb[basis] - xb, xb - tab.ub[basis])
-        rows = np.flatnonzero(infeas > FEAS_TOL)
+        rows = (infeas > FEAS_TOL).nonzero()[0]
         if rows.size == 0:
             return "feasible", it
         if bland:
             r = int(rows[np.argmin(basis[rows])])
         else:
             # Dual steepest edge, with the exact weights ||row of B^-1||^2.
-            w = np.einsum("ij,ij->i", tab.binv[rows], tab.binv[rows])
-            r = int(rows[np.argmax(infeas[rows] ** 2 / w)])
+            rows_binv = tab.binv[rows]
+            w = np.einsum("ij,ij->i", rows_binv, rows_binv)
+            r = int(rows[(infeas[rows] ** 2 / w).argmax()])
         leaving = basis[r]
         to_lower = xb[r] < tab.lb[leaving]
         bound = tab.lb[leaving] if to_lower else tab.ub[leaving]
@@ -242,9 +243,7 @@ def _dual(tab: _Tableau, c: np.ndarray, max_iter: int):
             a = -a
         at_lower = tab.status[:nm] == AT_LOWER
         at_upper = tab.status[:nm] == AT_UPPER
-        cand = np.flatnonzero(
-            ~fixed & ((at_lower & (a < -PIVOT_TOL)) | (at_upper & (a > PIVOT_TOL)))
-        )
+        cand = (free & ((at_lower & (a < -PIVOT_TOL)) | (at_upper & (a > PIVOT_TOL)))).nonzero()[0]
         if cand.size == 0:
             return "infeasible", it
         rc = tab.reduced_costs(c)[cand]
@@ -257,7 +256,7 @@ def _dual(tab: _Tableau, c: np.ndarray, max_iter: int):
         else:
             # Harris: largest pivot among ratios under the bound relaxed by RC_TOL.
             ok = ratio <= ((d + RC_TOL) / abs_a).min()
-            q = int(cand[ok][np.argmax(abs_a[ok])])
+            q = int(cand[ok][abs_a[ok].argmax()])
 
         col = tab.direction(q)
         step = (xb[r] - bound) / col[r]
@@ -328,15 +327,16 @@ def solve_lp(
         return LpResult("optimal", x, float(c @ x), 0, reduced_costs=c.copy())
 
     # Normalize to <= / = rows; each row gets a slack (fixed at 0 for =).
-    A = A.copy()
-    b = b.copy()
-    for i, sense in enumerate(senses):
-        if sense == ">=":
-            A[i] *= -1.0
-            b[i] *= -1.0
-        elif sense not in ("<=", "="):
-            raise ValueError(f"row {i}: unknown sense {sense!r}")
-    slack_ub = np.array([0.0 if s == "=" else np.inf for s in senses])
+    sense = np.asarray(senses)
+    ge = sense == ">="
+    known = ge | (sense == "<=") | (sense == "=")
+    if not known.all():
+        i = int(np.flatnonzero(~known)[0])
+        raise ValueError(f"row {i}: unknown sense {senses[i]!r}")
+    flip = np.where(ge, -1.0, 1.0)
+    A = A * flip[:, None]
+    b = b * flip
+    slack_ub = np.where(sense == "=", 0.0, np.inf)
     c_full = np.concatenate([c, np.zeros(2 * m)])
 
     if basis is not None:
@@ -369,18 +369,12 @@ def solve_lp(
     )
     # Crash basis: a <= row whose start residual is non-negative can use its
     # slack directly; other rows start on an artificial.
-    basis = np.empty(m, dtype=int)
-    need_art = np.zeros(m, dtype=bool)
-    for i in range(m):
-        if slack_ub[i] > 0 and resid[i] >= 0:
-            basis[i] = n + i
-        else:
-            basis[i] = n + m + i
-            need_art[i] = True
-    tab.set_basis(basis)
+    use_slack = (slack_ub > 0) & (resid >= 0)
+    rows = np.arange(m)
+    tab.set_basis(np.where(use_slack, n + rows, n + m + rows))
 
     it1 = 0
-    if need_art.any():
+    if not use_slack.all():
         c_phase1 = np.zeros(n + 2 * m)
         c_phase1[n + m :] = -1.0
         status, it1, _rc1 = _maximize(tab, c_phase1, max_iter)
@@ -390,24 +384,13 @@ def solve_lp(
 
         # Lock artificials at zero; pivot basic ones out where possible.
         tab.ub[n + m :] = 0.0
-        for i in range(m):
-            if tab.basis[i] < n + m:
-                continue
-            row = tab.binv[i] @ tab.A
-            slack_row = tab.binv[i]
-            usable = [
-                int(jj)
-                for jj in np.flatnonzero(np.abs(row) > 1e-9)
-                if tab.status[jj] != BASIC and tab.ub[jj] - tab.lb[jj] > FEAS_TOL
-            ]
-            if not usable:
-                usable = [
-                    int(jj) + n
-                    for jj in np.flatnonzero(np.abs(slack_row) > 1e-9)
-                    if tab.status[jj + n] != BASIC and tab.ub[jj + n] - tab.lb[jj + n] > FEAS_TOL
-                ]
-            if usable:
-                j = usable[0]
+        for i in np.flatnonzero(tab.basis >= n + m):
+            free = (tab.status != BASIC) & (tab.ub - tab.lb > FEAS_TOL)
+            usable = np.flatnonzero((np.abs(tab.binv[i] @ tab.A) > 1e-9) & free[:n])
+            if not usable.size:
+                usable = n + np.flatnonzero((np.abs(tab.binv[i]) > 1e-9) & free[n : n + m])
+            if usable.size:
+                j = int(usable[0])
                 d = tab.direction(j)
                 leaving = tab.basis[i]
                 tab.x[leaving] = 0.0
@@ -433,7 +416,7 @@ def _optimize(tab: _Tableau, c_full: np.ndarray, max_iter: int, iterations: int)
         return LpResult("unbounded", None, None, iterations + it2)
     x = tab.x[:n].copy()
     basic = np.where(tab.basis >= n + m, tab.basis - m, tab.basis)
-    at_upper = np.flatnonzero(tab.status[: n + m] == AT_UPPER)
+    at_upper = (tab.status[: n + m] == AT_UPPER).nonzero()[0]
     return LpResult(
         "optimal",
         x,

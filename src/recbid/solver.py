@@ -356,24 +356,71 @@ _BRANCH_PRIORITY = {"sell_on": 0, "buy_on": 0, "pick_sell": 1, "pick_buy": 1}
 
 
 class _Propagator:
-    """Vectorized activity-based bound tightening over <=-normalized rows."""
+    """Activity-based bound tightening over <=-normalized rows.
+
+    The bounds live in one vector ``y = [lb, 0, -ub, 0, inf]``, in which
+    every tightening is a raise, so that the candidates of all rows go in
+    with one ``np.maximum.at``. A term with coefficient ``a`` reads the
+    bound its column takes at the row's minimum activity (lb when ``a >
+    0``, ub when ``a < 0``) and offers ``bound + slack / a`` to the other
+    bound of its column, negated where that is ub. A row keeps its
+    positive and its negative terms in two slot lists of one width (``rows
+    x 2 x width``); slot 0 of each list, and every slot past its end, is a
+    padding term with coefficient 1 that reads a zero and writes to the
+    last, infinite entry. So each list sums from 0.0 in its row's CSR
+    order, as a sparse matrix-vector product does, and every value is
+    computed as in a sweep over the nonzeros, bit for bit.
+    """
+
+    OFFER_SIGN = np.array([[-1.0], [1.0]])  # positive terms offer to ub
 
     def __init__(self, A, senses, b, binary_mask: np.ndarray):
         from scipy import sparse
 
-        self.binary_mask = binary_mask
         senses = np.array(senses, dtype=str)
         le = senses != ">="
         ge = senses != "<="
         S = sparse.vstack([A[le], -A[ge]], format="csr")
         self.rhs = np.concatenate([b[le], -b[ge]])
-        self.nz_row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
-        self.nz_col = S.indices
-        self.nz_val = S.data
-        self.S_pos = S.maximum(0).tocsr()
-        self.S_neg = S.minimum(0).tocsr()
-        self.pos_nz = self.nz_val > 0
-        self.neg_nz = ~self.pos_nz
+        n_rows, n = S.shape
+        self.n = n
+        row = np.repeat(np.arange(n_rows), np.diff(S.indptr))
+        col, val = S.indices, S.data
+        keep = val != 0.0  # a zero coefficient bounds nothing
+        row, col, val = row[keep], col[keep], val[keep]
+        neg = val < 0.0
+        # Each term's slot: 1 + the number of earlier terms in its row and list.
+        group = 2 * row + neg
+        count = np.bincount(group, minlength=2 * n_rows)
+        order = np.argsort(group, kind="stable")
+        slot = np.empty(len(group), dtype=np.int64)
+        slot[order] = np.arange(len(group)) - (np.cumsum(count) - count)[group[order]] + 1
+        shape = (n_rows, 2, 1 + count.max(initial=0))
+        at = (row, neg.astype(np.int64), slot)
+        lb_slot, ub_slot = col, n + 1 + col
+        self.reads = np.full(shape, n)
+        self.reads[at] = np.where(neg, ub_slot, lb_slot)
+        self.writes = np.full(shape, 2 * n + 2)
+        self.writes[at] = np.where(neg, lb_slot, ub_slot)
+        self.coef = np.ones(shape)
+        self.coef[at] = val
+        self.slot_rows = np.zeros((2 * n + 3, n_rows), dtype=bool)
+        self.slot_rows[lb_slot, row] = True
+        self.slot_rows[ub_slot, row] = True
+        self.sign = np.ones(2 * n + 3)
+        self.sign[n + 1 : 2 * n + 1] = -1.0
+        # Binary rounding of fractional bounds: a lb in (1e-9, 1 + 1e-9]
+        # becomes 1, a ub in [-1e-9, 1 - 1e-9) becomes 0.
+        binaries = np.flatnonzero(binary_mask)
+        self.snap_lo = np.full(2 * n + 3, np.inf)
+        self.snap_hi = np.full(2 * n + 3, -np.inf)
+        self.snap_to = np.zeros(2 * n + 3)
+        self.snap_lo[binaries] = 1e-9
+        self.snap_hi[binaries] = 1.0 + 1e-9
+        self.snap_to[binaries] = 1.0
+        self.snap_lo[n + 1 + binaries] = -(1.0 - 1e-9)
+        self.snap_hi[n + 1 + binaries] = 1e-9
+        self.snap_to[n + 1 + binaries] = -0.0
 
     def run(self, lb, ub, obj_cut=None, max_passes: int = 12) -> bool:
         """Tighten lb/ub in place; False when some row proves infeasible.
@@ -381,60 +428,82 @@ class _Propagator:
         ``obj_cut`` is an optional dense (coef, rhs) pair in <= form, used
         to carry the incumbent-objective bound into the tightening.
         """
-        bmask = self.binary_mask
+        n = self.n
+        y = np.concatenate((lb, [0.0], -ub, [0.0, np.inf]))
+        feasible = self._tighten(y, obj_cut, max_passes)
+        lb[:] = y[:n]
+        np.negative(y[n + 1 : 2 * n + 1], out=ub)
+        return feasible
+
+    def _tighten(self, y, obj_cut, max_passes: int) -> bool:
+        """``run`` on the packed bounds ``y``.
+
+        The first pass reads every row. A later pass reads only the rows of
+        the columns the pass before tightened: every other row would offer
+        what it offered then, which did not tighten and cannot now. (An
+        offer that is nan would still block an objective-cut offer, but a
+        row offers nan to a bound only when the other bound of its column
+        is infinite, and then the cut and every other row offer it nan
+        too. Binary bounds stay 0 or 1, so rounding never turns an offer
+        that beats a bound into one that does not.) So the result is that
+        of reading every row on every pass.
+        """
+        n = self.n
+        sign = self.sign
+        if obj_cut is not None:
+            # Like a row term, each objective column reads one bound and
+            # offers to the other.
+            co, rr = obj_cut
+            up, down = np.flatnonzero(co > 0), np.flatnonzero(co < 0)
+            cut_reads = np.concatenate((up, n + 1 + down))
+            cut_writes = np.concatenate((n + 1 + up, down))
+            cut_coef = co[np.concatenate((up, down))]
+        rows = slice(None)
         for _ in range(max_passes):
-            min_act = self.S_pos @ lb + self.S_neg @ ub
-            if np.any(min_act > self.rhs + 1e-7):
+            x = sign * y  # [lb, 0, ub, 0, inf]
+            bound = x[self.reads[rows]]
+            coef = self.coef[rows]
+            terms = coef * bound
+            act = terms[:, :, 0]
+            for k in range(1, terms.shape[2]):
+                act = act + terms[:, :, k]
+            min_act = act[:, 0] + act[:, 1]
+            rhs = self.rhs[rows]
+            if (min_act > rhs + 1e-7).any():
                 return False
-            slack = self.rhs - min_act
-            s_nz = slack[self.nz_row]
-
-            ub_cand = ub.copy()
-            pos = self.pos_nz
-            cand = lb[self.nz_col[pos]] + s_nz[pos] / self.nz_val[pos]
-            np.minimum.at(ub_cand, self.nz_col[pos], cand)
-
-            lb_cand = lb.copy()
-            neg = self.neg_nz
-            cand = ub[self.nz_col[neg]] + s_nz[neg] / self.nz_val[neg]
-            np.maximum.at(lb_cand, self.nz_col[neg], cand)
+            slack = rhs - min_act
+            offer = (bound + slack[:, None, None] / coef) * self.OFFER_SIGN
+            cand = y.copy()
+            np.maximum.at(cand, self.writes[rows].ravel(), offer.ravel())
 
             if obj_cut is not None:
-                co, rr = obj_cut
-                lo_terms = np.where(co > 0, co * lb, co * ub)
+                lo_terms = np.where(co > 0, co * x[:n], co * x[n + 1 : 2 * n + 1])
                 mact = lo_terms.sum()
                 if mact > rr + 1e-7:
                     return False
-                sl = rr - mact
-                nzj = np.flatnonzero(co)
-                for j in nzj:
-                    a = co[j]
-                    if a > 0:
-                        ub_cand[j] = min(ub_cand[j], lb[j] + sl / a)
-                    else:
-                        lb_cand[j] = max(lb_cand[j], ub[j] + sl / a)
+                offer = (x[cut_reads] + (rr - mact) / cut_coef) * sign[cut_writes]
+                # As Python's max: a nan offer leaves the bound.
+                cur = cand[cut_writes]
+                cand[cut_writes] = np.where(offer > cur, offer, cur)
 
-            # Binary rounding of fractional bounds.
-            snap_hi = bmask & (ub_cand >= -1e-9) & (ub_cand < 1.0 - 1e-9)
-            ub_cand[snap_hi] = 0.0
-            snap_lo = bmask & (lb_cand > 1e-9) & (lb_cand <= 1.0 + 1e-9)
-            lb_cand[snap_lo] = 1.0
+            snap = (cand > self.snap_lo) & (cand <= self.snap_hi)
+            cand[snap] = self.snap_to[snap]
 
-            tighter_ub = ub_cand < ub - 1e-9
-            tighter_lb = lb_cand > lb + 1e-9
-            if not (tighter_ub.any() or tighter_lb.any()):
+            tighter = cand > y + 1e-9
+            if not tighter.any():
                 return True
-            ub[tighter_ub] = ub_cand[tighter_ub]
-            lb[tighter_lb] = lb_cand[tighter_lb]
-            if np.any(lb > ub + 1e-9):
+            y[tighter] = cand[tighter]
+            if (y[:n] > 1e-9 - y[n + 1 : 2 * n + 1]).any():  # lb > ub + 1e-9
                 return False
+            rows = self.slot_rows[tighter].any(axis=0).nonzero()[0]
         return True
 
 
 class _Oracle:
     def __init__(self, inst: MilpInstance):
         self.inst = inst
-        A, self.senses, self.b = inst.sparse_rows()
+        A, senses, self.b = inst.sparse_rows()
+        self.senses = np.array(senses, dtype=str)
         self.A = A.toarray()
         self.A_pos = np.maximum(self.A, 0.0)
         self.A_neg = np.minimum(self.A, 0.0)
@@ -451,9 +520,8 @@ class _Oracle:
                     prio[vid] = p
         self.priority = prio
         # Row activity window of a feasible point, to 1e-7.
-        sense = np.array(self.senses, dtype=str)
-        self.row_lo = np.where(sense == "<=", -np.inf, self.b - 1e-7)
-        self.row_hi = np.where(sense == ">=", np.inf, self.b + 1e-7)
+        self.row_lo = np.where(self.senses == "<=", -np.inf, self.b - 1e-7)
+        self.row_hi = np.where(self.senses == ">=", np.inf, self.b + 1e-7)
         # Per binary, the rows it appears in (all that rounding it can
         # change), with their coefficients and windows.
         self.binary_rows = {}
@@ -527,12 +595,13 @@ def reference_solve(
     ``Solution.nodes`` counts the nodes explored. Refuses instances with
     more binaries than ``binary_limit``.
     """
-    binaries = inst.binary_ids()
-    if len(binaries) > binary_limit:
+    n_binaries = len(inst.binary_ids())
+    if n_binaries > binary_limit:
         raise ValueError(
-            f"instance has {len(binaries)} binary variables, over the limit {binary_limit}"
+            f"instance has {n_binaries} binary variables, over the limit {binary_limit}"
         )
     oracle = _Oracle(inst)
+    binaries = oracle.binaries
     lb0 = np.asarray(inst.lb, dtype=float)
     ub0 = np.asarray(inst.ub, dtype=float)
 
@@ -569,15 +638,14 @@ def reference_solve(
         if np.isfinite(best_obj):
             # Reduced-cost fixing: flips that provably cannot reach the
             # incumbent are pinned for this subtree before branching.
-            for j in binaries:
-                if ub[j] - lb[j] <= BND_TOL:
-                    continue
-                if x[j] <= lb[j] + 1e-9 and obj + rc[j] <= best_obj + 1e-9:
-                    ub[j] = lb[j]
-                elif x[j] >= ub[j] - 1e-9 and obj - rc[j] <= best_obj + 1e-9:
-                    lb[j] = ub[j]
-        frac = [j for j in binaries if min(x[j], 1.0 - x[j]) > 1e-9]
-        if not frac:
+            x_b, lb_b, ub_b, rc_b = x[binaries], lb[binaries], ub[binaries], rc[binaries]
+            free = ~(ub_b - lb_b <= BND_TOL)
+            down = free & (x_b <= lb_b + 1e-9) & (obj + rc_b <= best_obj + 1e-9)
+            up = free & ~down & (x_b >= ub_b - 1e-9) & (obj - rc_b <= best_obj + 1e-9)
+            ub[binaries[down]] = lb_b[down]
+            lb[binaries[up]] = ub_b[up]
+        dist = np.minimum(x[binaries], 1.0 - x[binaries])
+        if not (dist > 1e-9).any():
             snapped = x.copy()
             snapped[binaries] = np.round(snapped[binaries])
             best_obj = obj
@@ -596,10 +664,11 @@ def reference_solve(
                 continue  # the relaxation bound is attained, subtree closed
         else:
             x = polished
-            frac = [j for j in binaries if min(x[j], 1.0 - x[j]) > 1e-9]
+            dist = np.minimum(x[binaries], 1.0 - x[binaries])
         # Branch: bid binaries first, then the most fractional, lowest index.
-        scores = [(oracle.priority[j], -min(x[j], 1.0 - x[j]), j) for j in frac]
-        _, _, branch = min(scores)
+        frac = dist > 1e-9
+        order = np.lexsort((-dist[frac], oracle.priority[binaries[frac]]))
+        branch = binaries[frac][order[0]]
         lo1, up1 = lb.copy(), ub.copy()
         lo0, up0 = lb, ub
         lo1[branch] = 1.0

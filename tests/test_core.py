@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -164,3 +169,15 @@ class TestBid:
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError, match="side"):
             Bid(hour=0, side="hold", price=0.0, quantity=0.0, submitted=False)
+
+
+def test_importing_the_package_loads_no_scipy():
+    # scipy is imported inside the functions that use it. A module-level
+    # import adds its load time to every command and to every benchmark
+    # set-up (one scipy.linalg import once cost about 0.2 s there).
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, recbid; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -23,6 +23,7 @@ from recbid.milp import (
     extract_program,
     planned_soc_paths,
     resolve_penalties,
+    round_binaries,
 )
 from recbid.simplex import solve_lp
 from recbid.solver import emit_exchange, reference_solve, solve_external
@@ -873,6 +874,27 @@ class TestCheckSolution:
         got = check_solution(inst, np.full(inst.n_vars, np.nan))
         assert len(got) == inst.n_vars
         assert all(line.endswith(" = nan is not finite") for line in got)
+
+    def test_round_binaries_names_a_binary_that_is_not_finite(self):
+        # Python's round on a nan binary raised a bare "cannot convert
+        # float NaN to integer" before the audit could name the variable.
+        inst = random_instance(0)
+        values = solve_external(inst, None).values.copy()
+        vid = inst.binary_ids()[3]
+        values[vid] = np.nan
+        with pytest.raises(RuntimeError, match=rf"{inst.names[vid]} = nan is not finite"):
+            round_binaries(inst, values)
+
+    def test_round_binaries_snaps_to_unsigned_zero_and_one(self):
+        inst = random_instance(0)
+        values = solve_external(inst, None).values.copy()
+        binaries = inst.binary_ids()
+        values[binaries] += np.where(values[binaries] > 0.5, 4e-7, -4e-7)
+        out = round_binaries(inst, values)
+        assert set(out[binaries].tolist()) <= {0.0, 1.0}
+        assert not np.signbit(out[binaries]).any()
+        rest = np.setdiff1d(np.arange(inst.n_vars), binaries)
+        assert out[rest].tobytes() == values[rest].tobytes()
 
     def test_every_violation_kind_in_order(self):
         # x above its bound, y below, z fractional, and each row broken:

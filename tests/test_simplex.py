@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -139,6 +140,17 @@ def test_reduced_costs_sign_at_optimum():
 def test_requires_finite_lower_bounds():
     with pytest.raises(ValueError, match="finite"):
         solve_lp([1], [[1]], ["<="], [1], [-np.inf], [1])
+
+
+@pytest.mark.parametrize("sense", ["<", "==", "", "=>"])
+def test_unknown_sense_refused_with_its_row(sense):
+    A, b, lb, ub = [[1, 0], [0, 1], [1, 1]], [1, 1, 1], [0, 0], [2, 2]
+    want = rf"^row 1: unknown sense {re.escape(repr(sense))}$"
+    with pytest.raises(ValueError, match=want):
+        solve_lp([1, 1], A, ["<=", sense, "bad"], b, lb, ub)
+    parent = solve_lp([1, 1], A, ["<=", ">=", "="], b, lb, ub)
+    with pytest.raises(ValueError, match=want):
+        solve_lp([1, 1], A, [">=", sense, "="], b, lb, ub, basis=parent.basis)
 
 
 def assert_optimal_point(res, A, senses, b, lb, ub, tol=1e-7):

@@ -373,6 +373,96 @@ class TestReferenceSolve:
         assert sol.nodes == 1
 
 
+def full_sweep_run(A, senses, b, binary_mask, lb, ub, obj_cut=None, max_passes=12):
+    """Bound propagation that reads every row on every pass, as the oracle
+    did before it re-read only the rows of changed columns: the reference
+    that ``_Propagator.run`` must match bit for bit."""
+    from scipy import sparse
+
+    senses = np.array(senses, dtype=str)
+    le = senses != ">="
+    ge = senses != "<="
+    S = sparse.vstack([A[le], -A[ge]], format="csr")
+    rhs = np.concatenate([b[le], -b[ge]])
+    nz_row = np.repeat(np.arange(S.shape[0]), np.diff(S.indptr))
+    nz_col, nz_val = S.indices, S.data
+    S_pos, S_neg = S.maximum(0).tocsr(), S.minimum(0).tocsr()
+    pos, neg = nz_val > 0, nz_val < 0
+    for _ in range(max_passes):
+        min_act = S_pos @ lb + S_neg @ ub
+        if np.any(min_act > rhs + 1e-7):
+            return False
+        s_nz = (rhs - min_act)[nz_row]
+        ub_cand = ub.copy()
+        np.minimum.at(ub_cand, nz_col[pos], lb[nz_col[pos]] + s_nz[pos] / nz_val[pos])
+        lb_cand = lb.copy()
+        np.maximum.at(lb_cand, nz_col[neg], ub[nz_col[neg]] + s_nz[neg] / nz_val[neg])
+        if obj_cut is not None:
+            co, rr = obj_cut
+            mact = np.where(co > 0, co * lb, co * ub).sum()
+            if mact > rr + 1e-7:
+                return False
+            sl = rr - mact
+            for j in np.flatnonzero(co):
+                a = co[j]
+                if a > 0:
+                    ub_cand[j] = min(ub_cand[j], lb[j] + sl / a)
+                else:
+                    lb_cand[j] = max(lb_cand[j], ub[j] + sl / a)
+        snap_hi = binary_mask & (ub_cand >= -1e-9) & (ub_cand < 1.0 - 1e-9)
+        ub_cand[snap_hi] = 0.0
+        snap_lo = binary_mask & (lb_cand > 1e-9) & (lb_cand <= 1.0 + 1e-9)
+        lb_cand[snap_lo] = 1.0
+        tighter_ub = ub_cand < ub - 1e-9
+        tighter_lb = lb_cand > lb + 1e-9
+        if not (tighter_ub.any() or tighter_lb.any()):
+            return True
+        ub[tighter_ub] = ub_cand[tighter_ub]
+        lb[tighter_lb] = lb_cand[tighter_lb]
+        if np.any(lb > ub + 1e-9):
+            return False
+    return True
+
+
+class TestPropagation:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_a_full_sweep_bit_for_bit(self, seed):
+        inst = random_instance(seed)
+        if seed % 4 == 3:
+            # Columns without an upper bound make nan offers.
+            inst.ub = [
+                np.inf if kind == CONTINUOUS and i % 5 == 0 else hi
+                for i, (kind, hi) in enumerate(zip(inst.kinds, inst.ub))
+            ]
+        oracle = solver_mod._Oracle(inst)
+        A, senses, b = inst.sparse_rows()
+        lb0, ub0 = np.array(inst.lb, dtype=float), np.array(inst.ub, dtype=float)
+        with np.errstate(invalid="ignore"):
+            root = oracle.relax(lb0.copy(), ub0.copy()).objective
+        rng = np.random.default_rng(seed)
+        verdicts = set()
+        for trial in range(24):
+            lb, ub = lb0.copy(), ub0.copy()
+            fixed = rng.choice(oracle.binaries, rng.integers(0, 12), replace=False)
+            up = rng.random(len(fixed)) < 0.5
+            lb[fixed[up]] = 1.0
+            ub[fixed[~up]] = 0.0
+            obj_cut = None
+            if trial % 2 and root is not None:
+                obj_cut = (-oracle.c, -(root - rng.uniform(0.0, 0.3) * abs(root)))
+            want_lb, want_ub = lb.copy(), ub.copy()
+            with np.errstate(invalid="ignore"):
+                want = full_sweep_run(
+                    A, senses, b, oracle.binary_mask, want_lb, want_ub, obj_cut
+                )
+                got = oracle.prop.run(lb, ub, obj_cut)
+            assert got == want, trial
+            assert lb.tobytes() == want_lb.tobytes(), trial
+            assert ub.tobytes() == want_ub.tobytes(), trial
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+
 def no_incumbent_milp(*args, **kwargs):
     """What scipy.optimize.milp returns when HiGHS stops at its time limit
     before finding any feasible point. The dual bound is on the minimized
