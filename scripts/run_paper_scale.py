@@ -4,12 +4,12 @@ one simulated week, all four study cases.
 
 Runs on the bundled synthetic data by default. HiGHS solves each day's
 MILP in this process, stopping at --time-limit per day and case. At ten
-by ten scenarios a day with bids has about 43,000 variables, 51,000
-rows, 159,000 nonzeros and 5,300 binaries (``base``), and about 41,000 /
-44,000 / 145,000 / 2,900 without the shared-energy incentive
+by ten scenarios a day with bids has about 42,000 variables, 46,000
+rows, 151,000 nonzeros and 4,000 binaries (``base``), and about 40,000 /
+39,000 / 137,000 / 1,600 without the shared-energy incentive
 (``no_incentive``). A day without bids models one price scenario:
-4,464 / 5,256 / 15,686 / 576 (``no_msd``) and 4,224 / 4,536 / 14,246 /
-336 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
+4,334 / 4,756 / 14,926 / 446 (``no_msd``) and 4,094 / 4,036 / 13,486 /
+206 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
 gap, day 0 of ``no_msd`` solves to optimality in about 2.5 s and
 ``neither`` in about 0.7 s (HiGHS through scipy, one 2-vCPU machine);
 the bid days stop at the limit. The time a bid day takes to reach the

@@ -222,7 +222,8 @@ def run_day(
     an ``instance.lp`` that exists: the workdir's, or one written to a fresh
     scratch directory when there is no workdir. Each planned day is logged
     at INFO on the ``recbid`` logger: solver status, gap and nodes, model
-    size, modelled and given price-scenario counts and wall seconds.
+    size (variables, rows, nonzeros and binaries), modelled and given
+    price-scenario counts and wall seconds.
     """
     start = time.perf_counter()
     K = spec.config.horizon_hours
@@ -281,7 +282,8 @@ def run_day(
     )
     if log.isEnabledFor(logging.INFO):
         log.info(
-            "day %d, case %s: %s, gap %.3g, nodes %s; %d vars, %d rows, %d binaries; "
+            "day %d, case %s: %s, gap %.3g, nodes %s; %d vars, %d rows, %d nonzeros, "
+            "%d binaries; "
             "%d of %d price scenarios modelled; %.3f s",
             day,
             spec.case,
@@ -290,6 +292,7 @@ def run_day(
             solution.nodes,
             inst.n_vars,
             inst.n_rows,
+            len(inst.row_cols),
             len(inst.binary_ids()),
             inst.data["n_m"],
             inst.data["n_m_full"],

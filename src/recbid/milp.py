@@ -365,7 +365,10 @@ def build_instance(
     the decision: ``"base_netting"`` holds, per hour, whether that hour's
     ``base_exp_on`` was left out (import tariff at least the export tariff),
     and ``"exchange_netting"`` whether every ``exp_on`` was (zero
-    shared-energy incentive).
+    shared-energy incentive). ``inst.data["charge_max"]``, shaped like
+    ``"res"``, is the most the battery can charge per (energy scenario,
+    hour): the upper bound of ``chg``, and zero where no ``chg_on`` is
+    built (proofs in ``encode_storage``).
 
     Without bids, the recourse blocks are built for price scenario 0 alone,
     with probability 1; ``inst.data["price_collapse"]`` records that, and
@@ -414,6 +417,9 @@ def build_instance(
     if not 0.0 <= soc0 <= 1.0:
         raise BuildError([f"soc_initial must be in [0, 1], got {soc0}"])
 
+    if (energies.values < 0).any():
+        raise BuildError(["energy scenarios contain negative values"])
+
     n_m, n_r = prices.n, energies.n
     pe, pi = config.p_export_max, config.p_import_max
     res = energies.channel("pv")
@@ -422,6 +428,7 @@ def build_instance(
     md_max = float(md.max()) if md.size else 0.0
     eb = config.battery_capacity_kwh
     pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
+    charge_max = np.minimum(pb, res) if config.renewable_only_charging else np.full(res.shape, pb)
     m_rec = pe + pi + md_max + eps
     m_bess = pb + max(pe, pi) + eps
     base_netting = ci.values >= ce.values
@@ -445,6 +452,7 @@ def build_instance(
         "res": res.copy(),
         "load": load.copy(),
         "md": md.copy(),
+        "charge_max": charge_max,
         "ce": ce.values.copy(),
         "ci": ci.values.copy(),
         "price_collapse": not allow_bids,
@@ -481,6 +489,7 @@ def build_instance(
     # Without exp_on, the member-demand cap on shared energy is a bound
     # (see encode_shared_energy).
     shared_hi = np.minimum(pe, md.T[:, None, :]) if exchange_netting else pe
+    chg_hi = charge_max.T[:, None, :]
     b.add_vars(inst, "ksl", [
         ("exp", CONTINUOUS, 0.0, pe),
         ("imp", CONTINUOUS, 0.0, pi),
@@ -495,9 +504,9 @@ def build_instance(
         ("shift_dn", CONTINUOUS, 0.0, eps),
         ("resv_up", CONTINUOUS, 0.0, eps),
         ("resv_dn", CONTINUOUS, 0.0, eps),
-        ("chg", CONTINUOUS, 0.0, pb),
+        ("chg", CONTINUOUS, 0.0, chg_hi),
         ("dis", CONTINUOUS, 0.0, pb),
-        ("chg_on", BINARY, 0.0, 1.0),
+        ("chg_on", BINARY, 0.0, 1.0, chg_hi > 0.0),
         ("shared", CONTINUOUS, 0.0, shared_hi),
     ])
     if eb > 0:
@@ -750,10 +759,33 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
       ``shared`` has no objective term either and can be set to 0, so
       netting keeps every row and the objective. ``shared``'s
       member-demand row then needs no binary (``encode_shared_energy``).
+
+    Where ``exp_on`` is built, its cap rows take the least big-M that
+    ``cf_balance`` allows in each (k, l), broadcast over s (coefficient
+    strengthening; Savelsbergh, ORSA J. Computing 6(4), 1994):
+    ``exp - u_exp exp_on <= 0`` and ``imp + u_imp exp_on <= u_imp`` with
+    u_exp = clip(res - load + pb, 0, pe) and u_imp = clip(load - res +
+    c_max, 0, pi), where pb is the battery power (0 without a battery)
+    and c_max = ``charge_max`` bounds ``chg`` (``encode_storage``). With
+    the other rows and bounds, these rows admit exactly the points with
+    integral ``exp_on`` that the big-M caps ``exp <= pe exp_on`` and ``imp
+    <= pi (1 - exp_on)`` admit. Both pairs say ``exp = 0`` at ``exp_on =
+    0`` and ``imp = 0`` at ``exp_on = 1``, and u_exp <= pe, u_imp <= pi,
+    so the new rows admit no more. ``cf_balance`` reads exp - imp = res -
+    load + dis - chg, with 0 <= dis <= pb and 0 <= chg <= c_max. At
+    ``exp_on = 1``, imp = 0 gives exp = res - load + dis - chg <= res -
+    load + pb, and with exp in [0, pe], exp <= u_exp. At ``exp_on = 0``,
+    exp = 0 gives imp = load - res + chg - dis <= load - res + c_max, and
+    with imp in [0, pi], imp <= u_imp. So they admit no fewer: every
+    integral point, and so every optimum, is kept, and only the LP
+    relaxation shrinks.
     """
     d = inst.data
     pe, pi = config.p_export_max, config.p_import_max
+    pb = config.battery_power_kwh_per_slot if config.battery_capacity_kwh > 0 else 0.0
     exchanged = not d["exchange_netting"]
+    exp_hi = np.clip(d["res"] - d["load"] + pb, 0.0, pe).T[:, None, :]
+    imp_hi = np.clip(d["load"] - d["res"] + d["charge_max"], 0.0, pi).T[:, None, :]
     base_capped = ~d["base_netting"][:, None, None]
     shortfalls = [
         ("award_sell", -1.0), ("short_sell", 1.0), ("award_buy", 1.0), ("short_buy", -1.0)
@@ -765,8 +797,8 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
             "=",
             (d["res"] - d["load"]).T[:, None, :],
         ),
-        _Rows("export_cap_{}", [("exp", 1.0), ("exp_on", -pe)], "<=", 0.0, exchanged),
-        _Rows("import_cap_{}", [("imp", 1.0), ("exp_on", pi)], "<=", pi, exchanged),
+        _Rows("export_cap_{}", [("exp", 1.0), ("exp_on", -exp_hi)], "<=", 0.0, exchanged),
+        _Rows("import_cap_{}", [("imp", 1.0), ("exp_on", imp_hi)], "<=", imp_hi, exchanged),
         _Rows(
             "rec_identity_{}",
             [("rec", 1.0), ("exp", -1.0), ("imp", 1.0)],
@@ -827,9 +859,25 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     window; one balance row per step ties it to the previous step:
     soc_k - soc_{k-1} - eta_c chg_k + dis_k / eta_d = 0, with soc_{-1} the
     initial state moved to the right-hand side.
+
+    ``chg`` has the upper bound c_max = ``charge_max``: pb (0 without a
+    battery), and under renewable-only charging min(pb, res), so that
+    rule needs no row of its own. The binary ``chg_on`` forbids charging
+    and discharging at once through ``chg <= c_max chg_on`` and ``dis <=
+    pb (1 - chg_on)``. At integral ``chg_on`` the first row, with the
+    bound, says what ``chg <= pb chg_on`` would: ``chg <= c_max`` at 1 and
+    ``chg = 0`` at 0. Where c_max = 0, ``chg`` is 0, and ``chg_on`` and its
+    two rows are not built. There ``chg_on`` has no objective term and no
+    other row, the first row holds at ``chg = 0``, and the second is the
+    bound ``dis <= pb`` at ``chg_on = 0``. So dropping them from a
+    feasible point of the model with them gives a feasible point with the
+    same objective, and a point of the model without them extends to one
+    with ``chg_on = 0``.
     """
     eb = config.battery_capacity_kwh
     pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
+    c_max = inst.data["charge_max"].T[:, None, :]
+    charging = c_max > 0.0
     b.add_rows("ksl", [
         _Rows(
             "bess_service_{}",
@@ -844,8 +892,8 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
             ],
             "=",
         ),
-        _Rows("charge_cap_{}", [("chg", 1.0), ("chg_on", -pb)], "<="),
-        _Rows("discharge_cap_{}", [("dis", 1.0), ("chg_on", pb)], "<=", pb),
+        _Rows("charge_cap_{}", [("chg", 1.0), ("chg_on", -c_max)], "<=", 0.0, charging),
+        _Rows("discharge_cap_{}", [("dis", 1.0), ("chg_on", pb)], "<=", pb, charging),
     ])
     if eb > 0:
         soc = b.v["soc"]
@@ -864,10 +912,6 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
                 "=",
                 np.where(first, inst.data["soc_initial"] * eb, 0.0),
             )
-        ])
-    if config.renewable_only_charging:
-        b.add_rows("ksl", [
-            _Rows("green_charge_{}", [("chg", 1.0)], "<=", inst.data["res"].T[:, None, :])
         ])
 
 

@@ -477,8 +477,10 @@ class _Propagator:
             np.maximum.at(cand, self.writes[rows].ravel(), offer.ravel())
 
             if obj_cut is not None:
-                lo_terms = np.where(co > 0, co * x[:n], co * x[n + 1 : 2 * n + 1])
-                mact = lo_terms.sum()
+                # A zero coefficient reads 0 in place of a bound, which may
+                # be infinite.
+                read = np.where(co > 0, x[:n], np.where(co < 0, x[n + 1 : 2 * n + 1], 0.0))
+                mact = (co * read).sum()
                 if mact > rr + 1e-7:
                     return False
                 offer = (x[cut_reads] + (rr - mact) / cut_coef) * sign[cut_writes]
@@ -534,10 +536,21 @@ class _Oracle:
 
         Every node solves the same rows and columns; only the bounds differ,
         so a parent's ``basis`` warm-starts its children. A row that no point
-        in the bounds can satisfy is reported infeasible without an LP.
+        in the bounds can satisfy is reported infeasible without an LP. In
+        the rows' activity ranges, a zero coefficient adds 0 also on an
+        infinite bound, and a nonzero one makes the range infinite that way.
         """
-        row_min = self.A_pos @ lb + self.A_neg @ ub
-        row_max = self.A_pos @ ub + self.A_neg @ lb
+        lo, hi = lb, ub
+        lo_free, hi_free = np.isinf(lb), np.isinf(ub)
+        free = lo_free.any() or hi_free.any()
+        if free:
+            lo, hi = np.where(lo_free, 0.0, lb), np.where(hi_free, 0.0, ub)
+        row_min = self.A_pos @ lo + self.A_neg @ hi
+        row_max = self.A_pos @ hi + self.A_neg @ lo
+        if free:
+            A_pos, A_neg = self.A_pos.astype(bool), self.A_neg.astype(bool)
+            row_min[A_pos[:, lo_free].any(axis=1) | A_neg[:, hi_free].any(axis=1)] = -np.inf
+            row_max[A_neg[:, lo_free].any(axis=1) | A_pos[:, hi_free].any(axis=1)] = np.inf
         if ((row_min > self.row_hi) | (row_max < self.row_lo)).any():
             return LpResult("infeasible", None, None)
         return solve_lp(self.c, self.A, self.senses, self.b, lb, ub, basis=basis)

@@ -1,4 +1,5 @@
 import os
+from itertools import product
 
 # The oracle's search path (and so its LP count) follows the last bits of
 # BLAS results, and BLAS threads contending with a second process can slow
@@ -168,6 +169,50 @@ def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
                     exp, imp = inst.var("base_exp", *idx), inst.var("base_imp", *idx)
                     inst.add_row(f"base_export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
                     inst.add_row(f"base_import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
+    return inst
+
+
+def with_big_m_caps(inst: MilpInstance) -> MilpInstance:
+    """Put back, in place, the exchange caps and charge binaries of the model
+    before its caps were taken from the energy balance.
+
+    That model caps ``exp <= pe exp_on`` and ``imp <= pi (1 - exp_on)``
+    wherever ``exp_on`` is built, has ``chg_on`` with ``chg <= pb chg_on``
+    and ``dis <= pb (1 - chg_on)`` in every cell, the bound ``chg <= pb``,
+    and, under renewable-only charging, a row ``chg <= res`` per cell. The
+    built cap rows are dropped, and the old ones and the missing ``chg_on``
+    appended after the built rows and variables; only the order of
+    variables and rows differs from the old model, which the tests use as
+    the reference for the strengthened model's optimum.
+    """
+    d = inst.data
+    config = d["config"]
+    pe, pi = config.p_export_max, config.p_import_max
+    pb = config.battery_power_kwh_per_slot if config.battery_capacity_kwh > 0 else 0.0
+    strengthened = ("export_cap_", "import_cap_", "charge_cap_", "discharge_cap_")
+    kept = [row for row in inst.rows if not row[0].startswith(strengthened)]
+    empty = MilpInstance()
+    for buffer in ("row_names", "row_senses", "row_rhs", "row_ptr", "row_cols", "row_vals"):
+        setattr(inst, buffer, getattr(empty, buffer))
+    for row in kept:
+        inst.add_row(*row)
+    for idx in product(range(d["K"]), range(d["n_m"]), range(d["n_r"])):
+        k, _s, l = idx
+        suf = "k{}_s{}_l{}".format(*idx)
+        if "exp_on" in inst.index:
+            on = inst.var("exp_on", *idx)
+            exp, imp = inst.var("exp", *idx), inst.var("imp", *idx)
+            inst.add_row(f"export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
+            inst.add_row(f"import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
+        on = inst.index.get("chg_on", {}).get(idx)
+        if on is None:
+            on = inst.add_var("chg_on", idx, f"chg_on_{suf}", BINARY, 0.0, 1.0)
+        chg, dis = inst.var("chg", *idx), inst.var("dis", *idx)
+        inst.add_row(f"charge_cap_{suf}", [(chg, 1.0), (on, -pb)], "<=", 0.0)
+        inst.add_row(f"discharge_cap_{suf}", [(dis, 1.0), (on, pb)], "<=", pb)
+        if config.renewable_only_charging:
+            inst.add_row(f"green_charge_{suf}", [(chg, 1.0)], "<=", d["res"][l, k])
+        inst.ub[chg] = pb
     return inst
 
 

@@ -50,11 +50,12 @@ ORACLE_TIME_BUDGET_S = 60.0
 def oracle_batch(tmp_path_factory):
     """Randomized K=3, n_m=2, n_r=2 instances solved by both backends.
 
-    The model carries 30 declared binaries at this size, 42 with a
+    The model carries up to 30 declared binaries at this size, 42 with a
     shared-energy incentive (the export and charge indicators are
-    scenario-indexed; the family's export tariffs sit below its import
-    tariffs, so no baseline-export indicator is built), so the reference
-    oracle runs with an explicit binary budget above its default.
+    scenario-indexed, the charge indicator only where the battery can
+    charge; the family's export tariffs sit below its import tariffs, so
+    no baseline-export indicator is built), so the reference oracle runs
+    with an explicit binary budget above its default.
     """
     base = tmp_path_factory.mktemp("oracle")
     runs = []

@@ -236,8 +236,8 @@ class TestDayLog:
         assert [(r.name, r.levelno) for r in caplog.records] == [("recbid", logging.INFO)] * 2
         for day, record in enumerate(caplog.records):
             assert re.fullmatch(
-                rf"day {day}, case no_msd: optimal, gap 0, nodes \d+; 96 vars, 141 rows, "
-                r"18 binaries; 1 of 2 price scenarios modelled; \d+\.\d{3} s",
+                rf"day {day}, case no_msd: optimal, gap 0, nodes \d+; 93 vars, 132 rows, "
+                r"327 nonzeros, 15 binaries; 1 of 2 price scenarios modelled; \d+\.\d{3} s",
                 record.getMessage(),
             ), record.getMessage()
         # The log line leaves the run's outputs as they were.

@@ -26,7 +26,7 @@ from recbid.milp import (
     round_binaries,
 )
 from recbid.simplex import solve_lp
-from recbid.solver import emit_exchange, reference_solve, solve_external
+from recbid.solver import _highs_arrays, emit_exchange, highs_solve, reference_solve, solve_external
 
 from conftest import (
     energy_set,
@@ -36,6 +36,7 @@ from conftest import (
     random_instance,
     small_config,
     tiny_inputs,
+    with_big_m_caps,
     with_bids_pinned,
     with_exclusivity_binaries,
 )
@@ -44,7 +45,7 @@ WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
 
 
 def expected_counts(
-    K, nm, nr, battery=True, green=True, base_binary_hours=0, exchange_binaries=True
+    K, nm, nr, battery=True, charge_cells=None, base_binary_hours=0, exchange_binaries=True
 ):
     """Row/variable counts derived family by family, independent of the builder.
 
@@ -53,25 +54,29 @@ def expected_counts(
     activity reification 6K*nm, pick-quantity products 6K*nm;
     per (k,s,l): facility balance 1, exchange identity 1, service balance 1,
     shortfall caps 2, baseline balance 1, slack caps 4, battery service 1,
-    charge caps 2, shared-below-export 1 (14 total), plus 1 SOC balance row
-    and 1 renewable cap when active.
-    Variables: 6 per hour, 10 per (k,s), 15 per (k,s,l), plus 1 SOC
+    shared-below-export 1 (12 total), plus 1 SOC balance row when the
+    battery is real.
+    Variables: 6 per hour, 10 per (k,s), 14 per (k,s,l), plus 1 SOC
     variable per (k,s,l) when the battery is real. Binaries: 2 per hour,
-    2 per (k,s), the charge flag per (k,s,l).
+    2 per (k,s).
+    The charge flag (with its two caps) exists in the ``charge_cells``
+    (k,s,l) cells where the battery can charge, every cell if None.
     The exchange flag (with its export/import caps and the shared-energy
     cap) exists per (k,s,l) only with ``exchange_binaries`` (a nonzero
     incentive); the baseline flag (with its two caps) only in the
     ``base_binary_hours`` hours whose export tariff is above the import
     tariff.
     """
-    rows = 7 * K + 22 * K * nm + 14 * K * nm * nr
-    n_vars = 6 * K + 10 * K * nm + 15 * K * nm * nr
-    n_bin = 2 * K + 2 * K * nm + K * nm * nr
+    rows = 7 * K + 22 * K * nm + 12 * K * nm * nr
+    n_vars = 6 * K + 10 * K * nm + 14 * K * nm * nr
+    n_bin = 2 * K + 2 * K * nm
     if battery:
         rows += K * nm * nr
         n_vars += K * nm * nr
-    if green:
-        rows += K * nm * nr
+    charge_cells = K * nm * nr if charge_cells is None else charge_cells
+    rows += 2 * charge_cells
+    n_vars += charge_cells
+    n_bin += charge_cells
     if exchange_binaries:
         rows += 3 * K * nm * nr
         n_vars += K * nm * nr
@@ -99,15 +104,15 @@ def lp_extreme(inst, sym, idx, fixes=None, maximize=True):
 
 class TestBuildCounts:
     def test_single_hour_hand_enumeration(self, tiny_instance):
-        # Battery-free, renewable flag off: every family counted by hand.
-        # Zero incentive and export tariff below import tariff: neither
-        # exclusivity flag is built.
+        # Battery-free: every family counted by hand, and nothing can
+        # charge. Zero incentive and export tariff below import tariff:
+        # neither exclusivity flag is built.
         rows, n_vars, n_bin = expected_counts(
-            1, 1, 1, battery=False, green=False, exchange_binaries=False
+            1, 1, 1, battery=False, charge_cells=0, exchange_binaries=False
         )
-        assert tiny_instance.n_rows == rows == 43
-        assert tiny_instance.n_vars == n_vars == 31
-        assert len(tiny_instance.binary_ids()) == n_bin == 5
+        assert tiny_instance.n_rows == rows == 41
+        assert tiny_instance.n_vars == n_vars == 30
+        assert len(tiny_instance.binary_ids()) == n_bin == 4
 
     @pytest.mark.parametrize("K,nm,nr", [(1, 2, 1), (2, 2, 2), (3, 2, 2)])
     def test_counts_match_formula(self, K, nm, nr):
@@ -130,12 +135,31 @@ class TestBuildCounts:
         ce = [0.30] * high_export_hours + [0.08] * (K - high_export_hours)
         inst = build_instance(cfg, prices, energies, known_prices(ce, [0.25] * K))
         rows, n_vars, n_bin = expected_counts(
-            K, nm, nr, battery=True, green=True, base_binary_hours=high_export_hours,
+            K, nm, nr, battery=True, base_binary_hours=high_export_hours,
             exchange_binaries=gamma > 0,
         )
         assert inst.n_rows == rows
         assert inst.n_vars == n_vars
         assert len(inst.binary_ids()) == n_bin
+
+    # Bundled day 0 at 10x10, scenario seed 0: variables, rows, nonzeros and
+    # binaries. A change that grows the model fails here.
+    PAPER_SCALE_SIZES = {
+        "base": (42044, 46048, 151420, 4028),
+        "no_incentive": (39644, 38848, 137020, 1628),
+        "no_msd": (4334, 4756, 14926, 446),
+        "neither": (4094, 4036, 13486, 206),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bundled_paper_scale_sizes(self, case):
+        spec = RunSpec(config=RecConfig(), case=case, n_m=10, n_r=10, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), 0
+        )
+        inst = build_instance(config, prices, energies, known, allow_bids=allow_bids)
+        sizes = (inst.n_vars, inst.n_rows, len(inst.row_cols), len(inst.binary_ids()))
+        assert sizes == self.PAPER_SCALE_SIZES[case]
 
     def test_paper_scale_variable_replication(self):
         # Every (k,s,l)-indexed symbol exists in 24*10*10 copies.
@@ -164,6 +188,12 @@ def random_instance_for_text(seed):
 
 
 class TestBuildValidation:
+    def test_negative_energies_refused(self):
+        # A negative PV would make the charge bound min(pb, PV) negative.
+        cfg, prices, _energies, kp = tiny_inputs()
+        with pytest.raises(BuildError, match="energy scenarios contain negative values"):
+            build_instance(cfg, prices, energy_set([[-1.0]], [[10.0]], [[20.0]]), kp)
+
     def test_invalid_config_refused_with_violations(self):
         cfg = small_config(eta_charge=0.0)
         prices = price_set([[0.3]], [[0.1]])
@@ -561,6 +591,55 @@ class TestExclusivityNetting:
             assert inst.ub[inst.var("shared", 0, 0, 0)] == (50.0 if kept else 20.0)
 
 
+class TestStrengthenedCaps:
+    """The exchange caps taken from the energy balance, and the charge
+    binaries left out where nothing can charge (proofs in
+    milp.encode_energy_balance and milp.encode_storage), keep the optimum
+    of the model with big-M caps and a charge binary in every cell, rebuilt
+    by with_big_m_caps."""
+
+    @staticmethod
+    def optimum(inst, backend):
+        if backend == "reference":
+            sol = reference_solve(inst, binary_limit=60)
+            assert sol.status == "optimal"
+            return sol.objective_value
+        res = highs_solve(*_highs_arrays(inst), time_limit=60.0, gap=1e-9)
+        assert res.status == 0, res.message
+        return inst.evaluate_objective(np.asarray(res.x))
+
+    @staticmethod
+    def lp_bound(inst):
+        c, A, row_lo, row_hi, lb, ub, integrality = _highs_arrays(inst)
+        res = highs_solve(c, A, row_lo, row_hi, lb, ub, 0 * integrality, 60.0, 1e-9)
+        assert res.status == 0, res.message
+        return -res.fun
+
+    def assert_same_optimum(self, inputs, allow_bids=True, backends=("highs",)):
+        new = build_instance(*inputs, allow_bids=allow_bids)
+        old = with_big_m_caps(build_instance(*inputs, allow_bids=allow_bids))
+        assert old.n_rows >= new.n_rows
+        got = [self.optimum(inst, backend) for backend in backends for inst in (new, old)]
+        scale = max(1.0, abs(got[0]))
+        assert max(got) - min(got) <= 1e-6 * scale, got
+        # Only the relaxation shrinks.
+        assert self.lp_bound(new) <= self.lp_bound(old) + 1e-6 * scale
+
+    # The oracle cannot search a 24-hour day; HiGHS alone solves these.
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days_keep_their_optimum(self, day, case):
+        spec = RunSpec(config=RecConfig(), case=case, n_m=2, n_r=1, seed=0)
+        config, allow_bids, prices, energies, known = day_inputs(
+            spec, load_week_data(WEEK_DATA_DIR), day
+        )
+        self.assert_same_optimum((config, prices, energies, known), allow_bids)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_family_keeps_its_optimum(self, seed):
+        self.assert_same_optimum(random_inputs(seed), backends=("highs", "reference"))
+
+
 class TestPriceCollapse:
     """A model without bids keeps one price scenario (proof in
     milp.build_instance); its optimum equals that of the model over every
@@ -784,7 +863,7 @@ class TestBlockBuild:
 
             monkeypatch.setattr(MilpInstance, method, counting)
         inst = build_instance(config, prices, energies, known, allow_bids=allow_bids)
-        assert (inst.n_vars, inst.n_rows) == (43344, 51048)
+        assert (inst.n_vars, inst.n_rows) == (42044, 46048)
         assert calls["add_var"] == calls["add_row"] == 0
         assert calls["add_vars"] <= 5 and calls["add_rows"] <= 1
 

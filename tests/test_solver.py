@@ -72,31 +72,31 @@ class TestEmit:
     # Which of several tied plans HiGHS returns follows the variable order,
     # so the text also holds the order fixed.
     PINNED_SHA256 = {
-        "random0": "e1735a4810345d784aa9d06b7ab5a0c591a66574b540f62fa80d51eebd853a27",
-        "random1": "815f74d9182473d38a0fc27397b087a19e931f9e48ab365a3c47f811003a7cf5",
-        "random2": "22845f9fe103e69e3449834c8471535fb0337fd3d31184959656653a841947ca",
-        "desk1": "8f0e63820ad790d0a3d46c09d22e47eaef4b628b7c08304cbc14cc7f24cd862e",
-        "tiny": "e3950acdbe8a6cc34f09fa8bc1cc3fda155ba5f2472f9488441b92f3e02191ab",
-        "day0_base": "4e62da0c06fc71a7ed4be2f560f4d154536d678b7d7bae192a18c5df97f71d3a",
-        "day0_no_incentive": "881ad1b545bc84ffd60c44c61a0a875683136fb7aa9ad2903904b216b068b61d",
-        "day0_no_msd": "4d27aaf32aede4a782a3e51497c61622c484ec2ad0b9c015af40897d8b61bec7",
-        "day0_neither": "474cf4fb594096f3db9a1adbaf045d9d05a0237a9c5083c036595fc99b283d33",
-        "day0_3x2_no_battery": "038905efd304b20122ff075470b8c139dab68c0c5b52f10beb4f30648d035a6b",
-        "day0_3x2_grid_charging": "c4f8d2d9d1e6718aac7720902d5b8297b6f1eac5b7846ec41988d9793101b98d",
+        "random0": "c7369b6f67dc6f78a636286fb83294af8bbabf4a2726bfd2d4c47e5a46e32ffb",
+        "random1": "b59492448491df0df7a475999bb68ce1eb15325761799f4dee41fa8367a05b87",
+        "random2": "4bd0271a718ad2702bc891c7fb45210931b8e5617a35d46ca5adb826d6ad6fbf",
+        "desk1": "4f52085b0e5f1f3c3c5181d17c732143b13c67c9b2365d9fc9b11cce1f1e5447",
+        "tiny": "3d7d884d5f6bb2f7fc1c6b7c41d4de6441d728b5339e49f6d1b4a97e502cb1ed",
+        "day0_base": "94d93e19081effbcd58cfb0e83814e36c41e9b5b40711bec9be16098d93f1dec",
+        "day0_no_incentive": "8c7fab33c6d5c9d1ee53acc1e8d3328ecd2cf8373feb6ace2efdd35b72e7b9aa",
+        "day0_no_msd": "ba70210f28d175ba45af2ce894e0b50310a9e1f85acfb2a0196b41bc7d6f52ef",
+        "day0_neither": "d62d95f2396e0f19f39107d03a389fca44accf831d52298bc64b90555abe5399",
+        "day0_3x2_no_battery": "ad12a5a97b0694cca879f5c821386b8a60fc0701c0a4594efb9c7ad835107db1",
+        "day0_3x2_grid_charging": "ea33a088e9973ebdcceb8029f61f5fe237e6ebddcee4aaa46685f9534ce7160a",
     }
     # evaluate_objective at default_rng(0).random(n_vars), as float.hex: the
     # objective dict's order is its summation order.
     PINNED_OBJECTIVE = {
-        "random0": "-0x1.e2d898bb4e02ep-2",
-        "random1": "-0x1.30597ada2da29p-1",
-        "random2": "-0x1.15f81aa5c7de9p-1",
+        "random0": "-0x1.dd7b0f4f57df4p-2",
+        "random1": "-0x1.46818dcd1abc7p-1",
+        "random2": "-0x1.0fd3c45efc37fp-1",
         "desk1": "0x1.a275837e52563p-3",
         "tiny": "0x1.b14526eb93a58p-7",
-        "day0_base": "-0x1.02903d0e45e14p+2",
-        "day0_no_incentive": "-0x1.58b40a64405a1p+2",
-        "day0_no_msd": "-0x1.e5e9c9e07934ep+1",
-        "day0_neither": "-0x1.791aa6ff4e300p+2",
-        "day0_3x2_no_battery": "-0x1.a0f935a774e00p+0",
+        "day0_base": "-0x1.f8c504b9993a9p+1",
+        "day0_no_incentive": "-0x1.569581816387dp+2",
+        "day0_no_msd": "-0x1.08720fb9f68e8p+2",
+        "day0_neither": "-0x1.5af1f0b5b9110p+2",
+        "day0_3x2_no_battery": "-0x1.8f63105c3f142p+0",
         "day0_3x2_grid_charging": "-0x1.a0f935a774e00p+0",
     }
     # Bundled-week day 0, scenario seed 0: (case, n_m, n_r, config changes).
@@ -317,7 +317,7 @@ class TestReferenceSolve:
         assert sol.objective_value == pytest.approx(4.0)
 
     def test_binary_limit_refusal_names_count(self):
-        inst = random_instance(2)  # 30 binaries at K=3, nm=2, nr=2, zero incentive
+        inst = random_instance(4)  # 30 binaries at K=3, nm=2, nr=2, zero incentive
         with pytest.raises(ValueError, match="30"):
             reference_solve(inst, binary_limit=24)
 
@@ -399,7 +399,7 @@ def full_sweep_run(A, senses, b, binary_mask, lb, ub, obj_cut=None, max_passes=1
         np.maximum.at(lb_cand, nz_col[neg], ub[nz_col[neg]] + s_nz[neg] / nz_val[neg])
         if obj_cut is not None:
             co, rr = obj_cut
-            mact = np.where(co > 0, co * lb, co * ub).sum()
+            mact = (co * np.where(co > 0, lb, np.where(co < 0, ub, 0.0))).sum()
             if mact > rr + 1e-7:
                 return False
             sl = rr - mact
@@ -437,8 +437,7 @@ class TestPropagation:
         oracle = solver_mod._Oracle(inst)
         A, senses, b = inst.sparse_rows()
         lb0, ub0 = np.array(inst.lb, dtype=float), np.array(inst.ub, dtype=float)
-        with np.errstate(invalid="ignore"):
-            root = oracle.relax(lb0.copy(), ub0.copy()).objective
+        root = oracle.relax(lb0.copy(), ub0.copy()).objective
         rng = np.random.default_rng(seed)
         verdicts = set()
         for trial in range(24):
@@ -451,16 +450,40 @@ class TestPropagation:
             if trial % 2 and root is not None:
                 obj_cut = (-oracle.c, -(root - rng.uniform(0.0, 0.3) * abs(root)))
             want_lb, want_ub = lb.copy(), ub.copy()
-            with np.errstate(invalid="ignore"):
-                want = full_sweep_run(
-                    A, senses, b, oracle.binary_mask, want_lb, want_ub, obj_cut
-                )
-                got = oracle.prop.run(lb, ub, obj_cut)
+            want = full_sweep_run(A, senses, b, oracle.binary_mask, want_lb, want_ub, obj_cut)
+            got = oracle.prop.run(lb, ub, obj_cut)
             assert got == want, trial
             assert lb.tobytes() == want_lb.tobytes(), trial
             assert ub.tobytes() == want_ub.tobytes(), trial
             verdicts.add(got)
         assert verdicts == {True, False}
+
+    @staticmethod
+    def unbounded_column_instance():
+        """y in [0, 10] with objective 1, and x in [0, inf) in no objective
+        term and no row but ``y >= lo``."""
+        inst = MilpInstance()
+        inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, np.inf)
+        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, 0.0, 10.0)
+        inst.objective[y] = 1.0
+        return inst, y
+
+    def test_objective_cut_sees_past_an_unbounded_column(self):
+        inst, y = self.unbounded_column_instance()
+        inst.add_row("lo", [(y, 1.0)], ">=", 0.0)
+        oracle = solver_mod._Oracle(inst)
+        lb, ub = np.array(inst.lb), np.array(inst.ub)
+        # An incumbent of 4: x's zero objective coefficient adds 0, not nan.
+        assert oracle.prop.run(lb, ub, obj_cut=(-oracle.c, -4.0))
+        assert lb.tolist() == [0.0, 4.0] and ub.tolist() == [np.inf, 10.0]
+
+    def test_row_test_sees_past_an_unbounded_column(self, monkeypatch):
+        inst, y = self.unbounded_column_instance()
+        inst.add_row("lo", [(y, 1.0)], ">=", 11.0)
+        oracle = solver_mod._Oracle(inst)
+        monkeypatch.setattr(solver_mod, "solve_lp", None)  # no LP may run
+        res = oracle.relax(np.array(inst.lb), np.array(inst.ub))
+        assert res.status == "infeasible"
 
 
 def no_incumbent_milp(*args, **kwargs):
