@@ -10,8 +10,8 @@ rows, 151,000 nonzeros and 4,000 binaries (``base``), and about 40,000 /
 (``no_incentive``). A day without bids models one price scenario:
 4,334 / 4,756 / 14,926 / 446 (``no_msd``) and 4,094 / 4,036 / 13,486 /
 206 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
-gap, day 0 of ``no_msd`` solves to optimality in about 2.5 s and
-``neither`` in about 0.7 s (HiGHS through scipy, one 2-vCPU machine);
+gap, day 0 of ``no_msd`` solves to optimality in about 1.6 s and
+``neither`` in about 0.2 s (HiGHS through scipy, one 2-vCPU machine);
 the bid days stop at the limit. The time a bid day takes to reach the
 default 1e-3 gap has not been measured. Pass a looser --gap to trade
 optimality margin for time.
