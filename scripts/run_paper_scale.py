@@ -12,9 +12,11 @@ rows, 151,000 nonzeros and 4,000 binaries (``base``), and about 40,000 /
 206 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
 gap, day 0 of ``no_msd`` solves to optimality in about 1.6 s and
 ``neither`` in about 0.2 s (HiGHS through scipy, one 2-vCPU machine);
-the bid days stop at the limit. At 300 s and a 1e-3 gap, ``base`` day 0
-has no feasible plan yet: HiGHS is still in its root cut loop. The time
-a bid day takes to reach the default 1e-3 gap has not been measured. Pass a looser --gap to trade
+the bid days stop at the limit. At 300 s and a 1e-3 gap, HiGHS is still
+in its root cut loop on ``base`` day 0 and has no feasible plan, so that
+day is planned without bids (objective 42.63 at scenario seed 0; see
+the README's Solvers section). The time a bid day takes to reach the
+default 1e-3 gap has not been measured. Pass a looser --gap to trade
 optimality margin for time.
 """
 

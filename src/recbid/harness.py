@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -20,7 +21,16 @@ from tempfile import mkdtemp
 import numpy as np
 
 from .core import DayAheadProgram, DayTrajectory, RecConfig
-from .milp import build_instance, expected_cashflow, extract_program, planned_soc_paths
+from .milp import (
+    MilpInstance,
+    Solution,
+    build_instance,
+    check_solution,
+    expected_cashflow,
+    extract_program,
+    planned_soc_paths,
+    spread_collapsed_plan,
+)
 from .scenarios import (
     build_price_scenarios,
     fit_dmc,
@@ -38,7 +48,7 @@ from .settlement import (
     report_to_dict,
     settle,
 )
-from .solver import emit_exchange, reference_solve, solve_external
+from .solver import NoIncumbentError, emit_exchange, reference_solve, solve_external
 
 CASES = ("base", "no_msd", "no_incentive", "neither")
 
@@ -218,7 +228,10 @@ def run_day(
     This is the one solve entry point: ``spec.backend`` picks HiGHS (the
     external route) or the in-package reference oracle. With a ``workdir``,
     the day's ``instance.lp`` (and, from HiGHS, ``solution.sol``) is
-    written there. A failed solve is re-raised naming the day, the case and
+    written there. A day with bids that HiGHS leaves without a feasible
+    point at its time limit gets the day's no-bid plan instead
+    (``_no_bid_plan``), as a ``gap_limit`` solution, and a WARNING names
+    it. A failed solve is re-raised naming the day, the case and
     an ``instance.lp`` that exists: the workdir's, or one written to a fresh
     scratch directory when there is no workdir. Each planned day is logged
     at INFO on the ``recbid`` logger: solver status, gap and nodes, model
@@ -241,9 +254,26 @@ def run_day(
                 (workdir / "instance.lp").write_text(emit_exchange(inst))
             solution = reference_solve(inst)
         else:
-            solution = solve_external(
-                inst, workdir, time_limit_s=spec.time_limit_s, rel_gap=spec.rel_gap
-            )
+            try:
+                solution = solve_external(
+                    inst, workdir, time_limit_s=spec.time_limit_s, rel_gap=spec.rel_gap
+                )
+            except NoIncumbentError as exc:
+                if not allow_bids:
+                    raise
+                collapsed = build_instance(
+                    config, prices, energies, known, soc_initial=soc_initial, allow_bids=False
+                )
+                solution = _no_bid_plan(inst, collapsed, exc, spec, workdir)
+                log.warning(
+                    "day %d, case %s: %s; planned without bids instead, objective %.6g, "
+                    "gap %.3g",
+                    day,
+                    spec.case,
+                    exc,
+                    solution.objective_value,
+                    solution.mip_gap,
+                )
         if solution.status not in ("optimal", "gap_limit"):
             raise RuntimeError(f"solver returned {solution.status}")
     except (RuntimeError, ValueError, OSError) as exc:
@@ -311,6 +341,46 @@ def run_day(
         penalty_sell=inst.data["penalty_sell"],
         penalty_buy=inst.data["penalty_buy"],
     )
+
+
+def _no_bid_plan(
+    inst: MilpInstance,
+    collapsed: MilpInstance,
+    exc: NoIncumbentError,
+    spec: RunSpec,
+    workdir: Path | None,
+) -> Solution:
+    """The no-bid plan of a day with bids that HiGHS left without one.
+
+    ``collapsed`` is the day's model built without bids. A plan that places
+    no bid is feasible in the model with bids (``spread_collapsed_plan``),
+    and that model is about a tenth of the size at ten price scenarios, so
+    HiGHS solves it in seconds where the bid model may not reach a first
+    point in the time limit. The solve gets the same limit and gap, and
+    writes under ``workdir / "no_bid"``. The plan is audited against
+    ``inst`` and returned as a ``gap_limit`` solution of ``inst``, with its
+    gap against ``exc``'s dual bound (inf without one) and its node count.
+    """
+    try:
+        sol = solve_external(
+            collapsed,
+            None if workdir is None else workdir / "no_bid",
+            time_limit_s=spec.time_limit_s,
+            rel_gap=spec.rel_gap,
+        )
+        if sol.status not in ("optimal", "gap_limit"):
+            raise RuntimeError(f"solver returned {sol.status}")
+    except RuntimeError as failed:
+        raise RuntimeError(f"{exc}; without bids, {failed}") from failed
+    values = spread_collapsed_plan(inst, collapsed, sol.values)
+    if problems := check_solution(inst, values):
+        raise RuntimeError(f"{exc}; the no-bid plan breaks {problems[0]}")
+    objective = inst.evaluate_objective(values)
+    bound = exc.dual_bound
+    gap = math.inf
+    if bound is not None and objective != 0.0:
+        gap = abs(bound - objective) / abs(objective)
+    return Solution("gap_limit", objective, values, mip_gap=gap, nodes=exc.nodes)
 
 
 @dataclass

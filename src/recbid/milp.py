@@ -365,10 +365,11 @@ def build_instance(
     the decision: ``"base_netting"`` holds, per hour, whether that hour's
     ``base_exp_on`` was left out (import tariff at least the export tariff),
     and ``"exchange_netting"`` whether every ``exp_on`` was (zero
-    shared-energy incentive). ``inst.data["charge_max"]``, shaped like
-    ``"res"``, is the most the battery can charge per (energy scenario,
-    hour): the upper bound of ``chg``, and zero where no ``chg_on`` is
-    built (proofs in ``encode_storage``).
+    shared-energy incentive). ``inst.data["battery_power"]`` is the most
+    the battery can charge or discharge in an hour (0 without a battery),
+    and ``"charge_max"``, shaped like ``"res"``, the most it can charge per
+    (energy scenario, hour): the upper bound of ``chg``, and zero where no
+    ``chg_on`` is built (proofs in ``encode_storage``).
 
     Without bids, the recourse blocks are built for price scenario 0 alone,
     with probability 1; ``inst.data["price_collapse"]`` records that, and
@@ -417,12 +418,13 @@ def build_instance(
     if not 0.0 <= soc0 <= 1.0:
         raise BuildError([f"soc_initial must be in [0, 1], got {soc0}"])
 
-    if (energies.values < 0).any():
-        raise BuildError(["energy scenarios contain negative values"])
-
     n_m, n_r = prices.n, energies.n
     pe, pi = config.p_export_max, config.p_import_max
     res = energies.channel("pv")
+    if config.renewable_only_charging and (res < 0).any():
+        raise BuildError(
+            ["pv scenarios contain negative values, and renewable-only charging is bounded by pv"]
+        )
     load = energies.channel("load")
     md = energies.channel("member_demand")
     md_max = float(md.max()) if md.size else 0.0
@@ -452,6 +454,7 @@ def build_instance(
         "res": res.copy(),
         "load": load.copy(),
         "md": md.copy(),
+        "battery_power": pb,
         "charge_max": charge_max,
         "ce": ce.values.copy(),
         "ci": ci.values.copy(),
@@ -782,9 +785,8 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
     """
     d = inst.data
     pe, pi = config.p_export_max, config.p_import_max
-    pb = config.battery_power_kwh_per_slot if config.battery_capacity_kwh > 0 else 0.0
     exchanged = not d["exchange_netting"]
-    exp_hi = np.clip(d["res"] - d["load"] + pb, 0.0, pe).T[:, None, :]
+    exp_hi = np.clip(d["res"] - d["load"] + d["battery_power"], 0.0, pe).T[:, None, :]
     imp_hi = np.clip(d["load"] - d["res"] + d["charge_max"], 0.0, pi).T[:, None, :]
     base_capped = ~d["base_netting"][:, None, None]
     shortfalls = [
@@ -875,7 +877,7 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     with ``chg_on = 0``.
     """
     eb = config.battery_capacity_kwh
-    pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
+    pb = inst.data["battery_power"]
     c_max = inst.data["charge_max"].T[:, None, :]
     charging = c_max > 0.0
     b.add_rows("ksl", [
@@ -1098,6 +1100,26 @@ def extract_program(inst: MilpInstance, solution: Solution) -> DayAheadProgram:
         sell_price_choice=sell_choice,
         buy_price_choice=buy_choice,
     )
+
+
+def spread_collapsed_plan(
+    inst: MilpInstance, collapsed: MilpInstance, values: np.ndarray
+) -> np.ndarray:
+    """A plan of ``collapsed``, the day's model built without bids, as a
+    plan of ``inst``, the same day's model built with them.
+
+    Every variable of ``inst`` takes the value of its namesake in price
+    scenario 0 and price choice 0, the one block ``collapsed`` keeps. So
+    every bid variable is 0, and each price scenario's recourse block is
+    a copy of the no-bid one, which ``build_instance``'s proof shows
+    feasible with the same objective.
+    """
+    out = np.empty(inst.n_vars)
+    for sym, cells in inst.index.items():
+        block0 = collapsed.index[sym]
+        for idx, vid in cells.items():
+            out[vid] = values[block0[idx[:1] + (0,) * (len(idx) > 1) + idx[2:]]]
+    return out
 
 
 def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:

@@ -249,6 +249,20 @@ def parse_lp(text: str) -> ParsedLp:
 _HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}
 
 
+class NoIncumbentError(RuntimeError):
+    """HiGHS reached its time limit before it found a feasible point.
+
+    ``dual_bound`` is its bound on the maximized objective and ``nodes`` its
+    node count; both are None when the limit fell before the
+    branch-and-bound.
+    """
+
+    def __init__(self, message: str, dual_bound: float | None, nodes: int | None):
+        super().__init__(message)
+        self.dual_bound = dual_bound
+        self.nodes = nodes
+
+
 def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, gap: float):
     """Minimize ``c @ x`` subject to ``row_lo <= A @ x <= row_hi`` with HiGHS.
 
@@ -302,8 +316,8 @@ def solve_external(
     HiGHS reported, then one ``name value`` line per variable in ``repr``
     floats, so the file holds the returned values bit for bit. A result with
     no solution to report raises RuntimeError; for a time limit reached
-    before any feasible point, the message names HiGHS's dual bound on the
-    maximized objective and its node count.
+    before any feasible point, it is a ``NoIncumbentError`` whose message
+    names HiGHS's dual bound on the maximized objective and its node count.
     """
     if workdir is not None:
         workdir = Path(workdir)
@@ -325,11 +339,13 @@ def solve_external(
         if res.status == 1:
             # Both are None when the limit falls before the branch-and-bound.
             bound, nodes = res.mip_dual_bound, res.mip_node_count
-            bound = "unknown" if bound is None else repr(-float(bound) + 0.0)
-            nodes = "unknown" if nodes is None else nodes
-            raise RuntimeError(
+            bound = None if bound is None else -float(bound) + 0.0
+            raise NoIncumbentError(
                 f"time limit of {time_limit_s} s reached with no feasible solution "
-                f"(dual bound {bound}, nodes {nodes})"
+                f"(dual bound {'unknown' if bound is None else repr(bound)}, "
+                f"nodes {'unknown' if nodes is None else nodes})",
+                bound,
+                nodes,
             )
         raise RuntimeError(f"HiGHS finished with unmapped status {res.status}: {res.message}")
     nodes = res.mip_node_count

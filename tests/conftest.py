@@ -188,7 +188,7 @@ def with_big_m_caps(inst: MilpInstance) -> MilpInstance:
     d = inst.data
     config = d["config"]
     pe, pi = config.p_export_max, config.p_import_max
-    pb = config.battery_power_kwh_per_slot if config.battery_capacity_kwh > 0 else 0.0
+    pb = d["battery_power"]
     strengthened = ("export_cap_", "import_cap_", "charge_cap_", "discharge_cap_")
     kept = [row for row in inst.rows if not row[0].startswith(strengthened)]
     empty = MilpInstance()

@@ -29,6 +29,7 @@ from conftest import small_config
 from test_solver import no_incumbent_milp
 
 K = 3  # short days keep the reference oracle within its binary budget
+WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
 
 
 def flat_week(n_hist_days=4, n_days=2, pv=(20.0, 8.0, 0.0), load=(3.0, 3.0, 3.0),
@@ -222,6 +223,82 @@ class TestRunDay:
         for day in (2, -1):
             with pytest.raises(ValueError, match=f"^day {day}, case no_msd: .* 2 realized days"):
                 run_day(spec, flat_week(n_days=2), day, spec.config.soc_initial, None)
+
+
+def first_solve_without_incumbent(monkeypatch):
+    """Make HiGHS's first solve stop at its time limit with no feasible
+    point, and run the later ones."""
+    real, calls = scipy.optimize.milp, []
+
+    def milp(*args, **kwargs):
+        calls.append(args)
+        return no_incumbent_milp() if len(calls) == 1 else real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "milp", milp)
+
+
+class TestNoBidFallback:
+    """A day with bids that HiGHS leaves without a feasible point at its
+    time limit is planned without bids."""
+
+    @pytest.mark.parametrize(
+        "case, no_bid_case", [("base", "no_msd"), ("no_incentive", "neither")]
+    )
+    def test_bid_day_gets_the_no_bid_plan(self, case, no_bid_case, tmp_path, monkeypatch, caplog):
+        data = load_week_data(WEEK_DATA_DIR)
+        spec = RunSpec(config=RecConfig(), case=case, n_m=2, n_r=1, seed=0, rel_gap=1e-9)
+        soc = spec.config.soc_initial
+        no_bid = run_day(replace(spec, case=no_bid_case), data, 0, soc, None)
+        first_solve_without_incumbent(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="recbid"):
+            got = run_day(spec, data, 0, soc, tmp_path)
+
+        assert got.program.bids == no_bid.program.bids == (None,) * 24
+        assert got.planner_objective == pytest.approx(no_bid.planner_objective, rel=1e-12)
+        for key, value in no_bid.report.totals().items():
+            assert got.report.totals()[key] == pytest.approx(value, abs=1e-9), key
+        warning, info = caplog.records
+        gap = (114.9 - got.planner_objective) / got.planner_objective
+        assert warning.levelno == logging.WARNING
+        assert warning.getMessage() == (
+            f"day 0, case {case}: time limit of 300.0 s reached with no feasible solution "
+            "(dual bound 114.9, nodes 7); planned without bids instead, "
+            f"objective {got.planner_objective:.6g}, gap {gap:.3g}"
+        )
+        assert info.getMessage().startswith(
+            f"day 0, case {case}: gap_limit, gap {gap:.3g}, nodes 7;"
+        )
+        # The bid model's files record HiGHS's failure; the no-bid solve's
+        # files sit beside them.
+        assert (tmp_path / "solution.sol").read_text() == "status unknown\n"
+        assert (tmp_path / "instance.lp").exists()
+        assert (tmp_path / "no_bid" / "solution.sol").read_text().startswith("status optimal\n")
+        assert (tmp_path / "no_bid" / "instance.lp").exists()
+
+    def test_failed_no_bid_solve_names_both(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        data = load_week_data(WEEK_DATA_DIR)
+        spec = RunSpec(config=RecConfig(), n_m=2, n_r=1, seed=0)
+        failed = (
+            "time limit of 300.0 s reached with no feasible solution (dual bound 114.9, nodes 7)"
+        )
+        with pytest.raises(RuntimeError) as err:
+            run_day(spec, data, 0, spec.config.soc_initial, None)
+        assert str(err.value).startswith(f"day 0, case base: {failed}; without bids, {failed}; ")
+
+    def test_paper_scale_base_day_gets_a_plan(self):
+        # HiGHS needs about 40 s for this day's root LP alone, so a 3 s
+        # limit leaves it without a feasible point, as 300 s can leave it
+        # in the root cut loop; the no-bid model solves in about a second.
+        data = load_week_data(WEEK_DATA_DIR)
+        spec = RunSpec(config=RecConfig(), n_m=10, n_r=10, seed=0, time_limit_s=3.0, rel_gap=1e-3)
+        soc = spec.config.soc_initial
+        got = run_day(spec, data, 0, soc, None)
+        no_bid = run_day(replace(spec, case="no_msd"), data, 0, soc, None)
+        assert got.program.bids == no_bid.program.bids == (None,) * 24
+        assert got.planner_objective == pytest.approx(no_bid.planner_objective, rel=1e-12)
+        assert got.planner_objective == pytest.approx(42.628, abs=0.05)
 
 
 class TestDayLog:

@@ -188,11 +188,16 @@ def random_instance_for_text(seed):
 
 
 class TestBuildValidation:
-    def test_negative_energies_refused(self):
+    def test_negative_pv_refused_under_renewable_only_charging(self):
         # A negative PV would make the charge bound min(pb, PV) negative.
         cfg, prices, _energies, kp = tiny_inputs()
-        with pytest.raises(BuildError, match="energy scenarios contain negative values"):
-            build_instance(cfg, prices, energy_set([[-1.0]], [[10.0]], [[20.0]]), kp)
+        energies = energy_set([[-1.0]], [[10.0]], [[20.0]])
+        with pytest.raises(BuildError, match="^pv scenarios contain negative values"):
+            build_instance(replace(cfg, renewable_only_charging=True), prices, energies, kp)
+        # Under grid charging, and in the other channels, a negative value
+        # bounds nothing and is built as given.
+        build_instance(replace(cfg, renewable_only_charging=False), prices, energies, kp)
+        build_instance(cfg, prices, energy_set([[1.0]], [[-10.0]], [[-20.0]]), kp)
 
     def test_invalid_config_refused_with_violations(self):
         cfg = small_config(eta_charge=0.0)
@@ -602,11 +607,11 @@ class TestStrengthenedCaps:
     def optimum(inst, backend):
         if backend == "reference":
             sol = reference_solve(inst, binary_limit=60)
-            assert sol.status == "optimal"
-            return sol.objective_value
-        res = highs_solve(*_highs_arrays(inst), time_limit=60.0, gap=1e-9)
-        assert res.status == 0, res.message
-        return inst.evaluate_objective(np.asarray(res.x))
+        else:
+            sol = solve_external(inst, None, rel_gap=1e-9)
+        assert sol.status == "optimal", backend
+        assert check_solution(inst, sol.values) == [], backend
+        return sol.objective_value
 
     @staticmethod
     def lp_bound(inst):

@@ -13,6 +13,7 @@ from recbid.core import RecConfig
 from recbid.harness import CASES, RunSpec, day_inputs, load_week_data
 from recbid.milp import BINARY, CONTINUOUS, MilpInstance, build_instance, check_solution
 from recbid.solver import (
+    NoIncumbentError,
     ParsedLp,
     emit_exchange,
     parse_lp,
@@ -520,11 +521,12 @@ class TestExternalBackend:
 
     def test_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
         monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
-        with pytest.raises(RuntimeError) as err:
+        with pytest.raises(NoIncumbentError) as err:
             solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
         assert str(err.value) == (
             "time limit of 2.0 s reached with no feasible solution (dual bound 114.9, nodes 7)"
         )
+        assert (err.value.dual_bound, err.value.nodes) == (114.9, 7)
         assert (tmp_path / "instance.lp").read_text() == emit_exchange(tiny_instance)
         assert (tmp_path / "solution.sol").read_text() == "status unknown\n"
 
@@ -534,8 +536,10 @@ class TestExternalBackend:
         res = SimpleNamespace(**vars(no_incumbent_milp()))
         res.mip_dual_bound = res.mip_node_count = None
         monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: res)
-        with pytest.raises(RuntimeError, match=r"\(dual bound unknown, nodes unknown\)$"):
+        unknown = r"\(dual bound unknown, nodes unknown\)$"
+        with pytest.raises(NoIncumbentError, match=unknown) as err:
             solve_external(tiny_instance, None, time_limit_s=2.0)
+        assert (err.value.dual_bound, err.value.nodes) == (None, None)
 
     def test_node_count_reported(self):
         sol = solve_external(random_instance(0), None)
