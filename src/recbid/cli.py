@@ -14,37 +14,34 @@ import argparse
 import json
 from pathlib import Path
 
+import numpy as np
+
 from .core import RecConfig, load_config_json, validate_config
 from .harness import RunSpec, compare_cases, day_inputs, load_week_data, run_day, run_week
 from .milp import build_instance
 from .solver import emit_exchange
 
 
-def _sidecar_entry(symbol: str, n_indices: int) -> str:
-    """``str.format`` template of one sidecar entry: the quoted name, then
-    ``n_indices`` indices; ``symbol`` is already quoted."""
-    indices = ",".join(["\n      {}"] * n_indices) + "\n    " if n_indices else ""
-    symbol = symbol.replace("{", "{{").replace("}", "}}")
-    return '  {}: {{\n    "indices": [' + indices + '],\n    "symbol": ' + symbol + "\n  }}"
-
-
 def _sidecar_json(inst) -> str:
     """``instance.vars.json``: each variable's symbol and indices, by name.
 
     Byte for byte ``json.dumps(sidecar, indent=2, sort_keys=True) + "\\n"``
-    of ``sidecar = {name: {"symbol": sym, "indices": list(idx)}}``, for the
-    int indices the builder uses. It is filled in from one template per
-    symbol and index count, because ``json.dumps`` with an indent runs the
-    pure-Python encoder, several times slower on a paper-scale day.
+    of ``sidecar = {name: {"symbol": sym, "indices": list(idx)}}`` over
+    the cells ``idx`` of each symbol's id grid that hold a variable. It is
+    filled in from one template per symbol, because ``json.dumps`` with an
+    indent runs the pure-Python encoder, several times slower on a
+    paper-scale day.
     """
     quote = json.encoder.encode_basestring_ascii
     entries = {}
-    for sym, index in inst.index.items():
-        templates = {}
-        for idx, vid in index.items():
-            fill = templates.get(len(idx))
-            if fill is None:
-                fill = templates[len(idx)] = _sidecar_entry(quote(sym), len(idx)).format
+    for sym, grid in inst.index.items():
+        # The entry's template: the quoted name, then the cell's indices.
+        indices = ",".join(["\n      {}"] * grid.ndim) + "\n    " if grid.ndim else ""
+        symbol = quote(sym).replace("{", "{{").replace("}", "}}")
+        template = '  {}: {{\n    "indices": [' + indices + '],\n    "symbol": ' + symbol + "\n  }}"
+        fill = template.format
+        present = grid >= 0
+        for idx, vid in zip(np.argwhere(present).tolist(), grid[present].tolist()):
             name = inst.names[vid]
             entries[name] = fill(quote(name), *idx)
     if not entries:
@@ -66,7 +63,10 @@ def _add_common(ap: argparse.ArgumentParser) -> None:
 
 
 def _spec(args) -> RunSpec:
-    config = load_config_json(args.config) if args.config else RecConfig()
+    try:
+        config = load_config_json(args.config) if args.config else RecConfig()
+    except ValueError as exc:
+        raise SystemExit(f"invalid config: {exc}") from None
     problems = validate_config(config)
     if problems:
         raise SystemExit("invalid config:\n  " + "\n  ".join(problems))

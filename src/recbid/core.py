@@ -98,13 +98,36 @@ def validate_config(config: RecConfig) -> list[str]:
     return v
 
 
+# The JSON values a RecConfig field of each type takes: a float field any
+# finite number but true or false, and only a field that may be unset null.
+_JSON_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "float | None": ((int, float, type(None)), "a number or null"),
+    "bool": ((bool,), "true or false"),
+}
+
+
 def load_config_json(path: str | Path) -> RecConfig:
-    """Read a RecConfig from a JSON file with one key per field."""
+    """Read a RecConfig from a JSON file with one key per field.
+
+    An unknown key, or a value of the wrong JSON type for its field, is
+    refused with a ValueError that names the key.
+    """
     raw = json.loads(Path(path).read_text())
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config file holds one JSON object, got {type(raw).__name__}")
     known = set(RecConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    wrong = []
+    for key, value in raw.items():
+        types, wanted = _JSON_TYPES[RecConfig.__dataclass_fields__[key].type]
+        if type(value) not in types or (type(value) is float and not np.isfinite(value)):
+            wrong.append(f"{key} must be {wanted}, got {json.dumps(value)}")
+    if wrong:
+        raise ValueError("; ".join(wrong))
     return RecConfig(**raw)
 
 

@@ -84,9 +84,10 @@ class RunSpec:
             raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
         if self.rel_gap < 0:
             raise ValueError(f"rel_gap must be >= 0, got {self.rel_gap}")
-        for name in ("n_m", "n_r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        least = {"n_m": 1, "n_r": 1, "dmc_samples": 1, "dmc_bins": 2, "price_window_days": 1}
+        for name, low in least.items():
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 def apply_case(config: RecConfig, case: str) -> tuple[RecConfig, bool]:

@@ -20,7 +20,7 @@ def solve_parsed(parsed: ParsedLp, time_limit: float, gap: float):
     vid = {}
     for name in parsed.names:
         kind = BINARY if name in parsed.binaries else CONTINUOUS
-        vid[name] = inst.add_var(name, (), name, kind, parsed.lb[name], parsed.ub[name])
+        vid[name] = inst.add_var(name, kind, parsed.lb[name], parsed.ub[name])
     inst.objective = {vid[name]: coef for name, coef in parsed.objective.items()}
     rows = parsed.rows
     inst.add_rows(

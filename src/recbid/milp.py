@@ -16,7 +16,9 @@ variables of each grid in one ``MilpInstance.add_vars`` call, and every
 row family as part of a block that ``MilpInstance.add_rows`` stores in
 one call. Ids and rows come out in the order of loops over the grids'
 cells, which fixes the model's variable order and so which of several
-tied plans a solver returns.
+tied plans a solver returns. ``MilpInstance.index`` keeps each symbol's
+ids as such a grid, and the plan readers (``extract_program``,
+``planned_soc_paths``, ``expected_cashflow``) index solutions with it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, product, repeat
+from itertools import chain, compress, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -88,6 +90,9 @@ class RowView(Sequence):
 class MilpInstance:
     """Materialized MILP: variables, rows, objective and symbol lookups.
 
+    ``index[sym]`` is the id grid of symbol ``sym``, as ``add_vars`` returns
+    it: one axis per index, -1 in a cell without the variable.
+
     Rows live in flat CSR-style buffers: row ``i`` has the terms
     ``row_cols[row_ptr[i]:row_ptr[i + 1]]`` / ``row_vals[...]``, sorted by
     variable id. Tuples of Python ints and floats per term would take several
@@ -100,7 +105,7 @@ class MilpInstance:
     ub: list[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
     objective_constant: float = 0.0
-    index: dict[str, dict[tuple, int]] = field(default_factory=dict)
+    index: dict[str, np.ndarray] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
     row_names: list[str] = field(default_factory=list)
     row_senses: list[str] = field(default_factory=list)
@@ -121,13 +126,13 @@ class MilpInstance:
     def rows(self) -> RowView:
         return RowView(self)
 
-    def add_var(self, sym: str, idx: tuple, name: str, kind: str, lo: float, hi: float) -> int:
+    def add_var(self, name: str, kind: str, lo: float, hi: float) -> int:
+        """Append one variable that belongs to no grid; return its id."""
         vid = len(self.names)
         self.names.append(name)
         self.kinds.append(kind)
         self.lb.append(lo)
         self.ub.append(hi)
-        self.index.setdefault(sym, {})[idx] = vid
         return vid
 
     def add_vars(self, shape: tuple[int, ...], members) -> np.ndarray:
@@ -137,22 +142,19 @@ class MilpInstance:
         cell in C order, bounds that broadcast to ``shape``, and a boolean
         mask, broadcast likewise, of the cells that have the variable (None
         for all of them). Cell by cell, in C order, each present member
-        takes the next id, as a loop over the cells that called ``add_var``
-        for each member in turn would; ``index[sym]`` maps a cell's index
-        tuple to its id, and symbols enter ``index`` in that loop's order
-        too. The returned ids have the shape ``shape + (len(members),)``, so
-        ``ids[..., i]`` holds member ``i``'s, with -1 where it is absent. A
-        member absent everywhere may give no names.
+        takes the next id. The returned ids have the shape ``shape +
+        (len(members),)``, so ``ids[..., i]`` holds member ``i``'s, with -1
+        where it is absent; that grid becomes ``index[sym]``. A member absent
+        everywhere may give no names.
         """
         m, n_cells = len(members), math.prod(shape)
         present = np.ones(shape + (m,), dtype=bool)
-        masked = [i for i, member in enumerate(members) if member[5] is not None]
-        for i in masked:
-            present[..., i] = members[i][5]
+        for i, member in enumerate(members):
+            if member[5] is not None:
+                present[..., i] = member[5]
         flat = present.reshape(-1)
         keep = flat.tolist()
-        start = len(self.names)
-        ids = np.where(flat, np.cumsum(flat) + (start - 1), -1).reshape(shape + (m,))
+        ids = np.where(flat, np.cumsum(flat) + (len(self.names) - 1), -1).reshape(shape + (m,))
 
         def cell_by_cell(values):
             """Per-member values, present cells only, in id order."""
@@ -167,18 +169,8 @@ class MilpInstance:
         self.kinds.extend(cell_by_cell(repeat(member[2], n_cells) for member in members))
         self.lb.extend(cell_by_cell(per_cell(member[3]) for member in members))
         self.ub.extend(cell_by_cell(per_cell(member[4]) for member in members))
-        keys = list(product(*map(range, shape)))
-        by_member = ids.reshape(-1, m).T.tolist()
-        order, cells = range(m), None
-        if masked:
-            cells = flat.reshape(-1, m).T.tolist()
-            live = [i for i in range(m) if True in cells[i]]
-            order = sorted(live, key=lambda i: cells[i].index(True))
-        for i in order:
-            pairs = zip(keys, by_member[i])
-            if cells is not None:
-                pairs = compress(pairs, cells[i])
-            self.index.setdefault(members[i][0], {}).update(pairs)
+        for i, member in enumerate(members):
+            self.index[member[0]] = ids[..., i]
         return ids
 
     def add_row(self, name: str, terms, sense: str, rhs: float) -> None:
@@ -266,7 +258,13 @@ class MilpInstance:
         self.row_ptr.frombytes(memoryview(ends.astype(np.int64)).cast("B"))
 
     def var(self, sym: str, *idx) -> int:
-        return self.index[sym][tuple(idx)]
+        """The id of ``sym``'s variable in cell ``idx``; KeyError for a cell
+        without one or outside the grid (numpy would wrap a negative index)."""
+        grid = self.index[sym]
+        inside = len(idx) == grid.ndim and all(0 <= i < n for i, n in zip(idx, grid.shape))
+        if not inside or grid[idx] < 0:
+            raise KeyError((sym, *idx))
+        return int(grid[idx])
 
     def binary_ids(self) -> list[int]:
         return [i for i, k in enumerate(self.kinds) if k == BINARY]
@@ -359,6 +357,12 @@ def build_instance(
     ``soc_initial`` overrides the configured initial state of charge, which
     lets a rolling simulation chain days together. ``allow_bids=False``
     pins every bid decision to zero and models one price scenario.
+
+    ``inst.index[sym]`` is the id grid of each symbol: shape (K,) for the
+    hourly bid and baseline variables, (K, n_m) over hours by price choices
+    (``pick_*``, ``qty_pick_*``) or by price scenarios (``acc_*``,
+    ``award_*``, ``act_*``), and (K, n_m, n_r) for the recourse variables,
+    with -1 in the cells where a variable is left out.
 
     Exclusivity binaries that some optimum provably never needs are not
     created (proofs in ``encode_energy_balance``). ``inst.data`` records
@@ -464,8 +468,8 @@ def build_instance(
     }
 
     bid_hi = 1.0 if allow_bids else 0.0
-    b = _Blocks(K, n_m, n_r)
-    b.add_vars(inst, "k", [
+    b = _Blocks(inst)
+    b.add_vars("k", [
         ("sell_qty", CONTINUOUS, 0.0, pe),
         ("buy_qty", CONTINUOUS, 0.0, pi),
         ("sell_on", BINARY, 0.0, bid_hi),
@@ -473,7 +477,7 @@ def build_instance(
         ("base_rec", CONTINUOUS, -m_rec, m_rec),
         ("base_bess", CONTINUOUS, -m_bess, m_bess),
     ])
-    b.add_vars(inst, "kj", [
+    b.add_vars("kj", [
         ("pick_sell", BINARY, 0.0, bid_hi),
         ("pick_buy", BINARY, 0.0, bid_hi),
         ("qty_pick_sell", CONTINUOUS, 0.0, pe),
@@ -481,7 +485,7 @@ def build_instance(
     ])
     # Acceptance and activity flags are affinely pinned to the pick and on
     # binaries, so they stay 0/1 without a binary marker.
-    b.add_vars(inst, "ks", [
+    b.add_vars("ks", [
         ("acc_sell", CONTINUOUS, 0.0, 1.0),
         ("acc_buy", CONTINUOUS, 0.0, 1.0),
         ("award_sell", CONTINUOUS, 0.0, pe),
@@ -493,7 +497,7 @@ def build_instance(
     # (see encode_shared_energy).
     shared_hi = np.minimum(pe, md.T[:, None, :]) if exchange_netting else pe
     chg_hi = charge_max.T[:, None, :]
-    b.add_vars(inst, "ksl", [
+    b.add_vars("ksl", [
         ("exp", CONTINUOUS, 0.0, pe),
         ("imp", CONTINUOUS, 0.0, pi),
         ("exp_on", BINARY, 0.0, 1.0, not exchange_netting),
@@ -516,7 +520,7 @@ def build_instance(
         last = (np.arange(K) == K - 1)[:, None, None]
         soc_lo = np.where(last, config.soc_final_min * eb, 0.0)
         soc_hi = np.where(last, config.soc_final_max * eb, eb)
-        b.add_vars(inst, "ksl", [("soc", CONTINUOUS, soc_lo, soc_hi)])
+        b.add_vars("ksl", [("soc", CONTINUOUS, soc_lo, soc_hi)])
 
     encode_bidding(inst, b, config)
     encode_acceptance(inst, b, prices)
@@ -525,7 +529,7 @@ def build_instance(
     encode_storage(inst, b, config)
     encode_shared_energy(inst, b)
     encode_objective(inst, b, config)
-    b.store_rows(inst)
+    b.store_rows()
     return inst
 
 
@@ -543,11 +547,12 @@ class _Rows(NamedTuple):
     """One row family over a grid: a row per cell where ``present`` holds.
 
     ``name`` has ``{}`` where the cell's suffix goes. ``terms`` are
-    ``(sym, coefs)`` pairs. A symbol on the grid, or on fewer of its axes,
-    gives one term per row; one with a price-choice axis ``j`` the grid
-    lacks gives a term per choice. ``coefs``, ``rhs`` and ``present``
-    broadcast to the grid's shape, with the choice axis last for ``coefs``
-    of such a symbol; None is every cell.
+    ``(sym, coefs)`` pairs, or ``(ids, coefs)`` with ids aligned to the
+    grid as ``_Blocks.ids_on`` aligns a symbol's. A symbol on the grid, or
+    on fewer of its axes, gives one term per row; one with a price-choice
+    axis ``j`` the grid lacks gives a term per choice. ``coefs``, ``rhs``
+    and ``present`` broadcast to the grid's shape, with the choice axis
+    last for ``coefs`` of such a symbol; None is every cell.
     """
 
     name: str
@@ -563,8 +568,9 @@ def _somewhere(present) -> bool:
 
 
 class _Blocks:
-    """The builder's blocks: variable ids by symbol, and the rows of the
-    blocks made so far, which ``store_rows`` adds in one ``add_rows`` call.
+    """The builder's blocks: the axes of each symbol's id grid in
+    ``inst.index``, and the rows of the blocks made so far, which
+    ``store_rows`` adds in one ``add_rows`` call.
 
     A grid is named by its axes: ``k`` hours, ``kj`` hours by price
     choices, ``ks`` hours by price scenarios, ``ksl`` hours by price and
@@ -572,7 +578,9 @@ class _Blocks:
     state-of-charge recursion.
     """
 
-    def __init__(self, K: int, n_m: int, n_r: int):
+    def __init__(self, inst: MilpInstance):
+        self.inst = inst
+        K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
         self.shapes = {"k": (K,), "kj": (K, n_m), "ks": (K, n_m), "ksl": (K, n_m, n_r)}
         self.sufs = {axes: _cell_suffixes(axes, shape) for axes, shape in self.shapes.items()}
         # The state-of-charge recursion runs over (s, l, k); its cells keep
@@ -580,29 +588,22 @@ class _Blocks:
         self.shapes["slk"] = (n_m, n_r, K)
         by_ksl = np.array(self.sufs["ksl"], dtype=object).reshape(K, n_m, n_r)
         self.sufs["slk"] = by_ksl.transpose(1, 2, 0).reshape(-1).tolist()
-        self.v: dict[str, np.ndarray] = {}  # ids over the symbol's grid
         self.axes: dict[str, str] = {}  # the axes of the symbol's grid
         self.aligned: dict[tuple[str, str], np.ndarray] = {}  # see ids_on
         self.names: list[str] = []
         self.senses: list[str] = []
         self.made: tuple[list, list, list, list] = ([], [], [], [])  # widths, cols, vals, rhs
 
-    def add_vars(self, inst: MilpInstance, axes: str, specs) -> None:
+    def add_vars(self, axes: str, specs) -> None:
         """``inst.add_vars`` over a grid for ``(sym, kind, lo, hi[, present])``
         specs, each variable named ``<sym>_<cell suffix>``."""
-        shape = self.shapes[axes]
         members = []
         for sym, kind, lo, hi, *present in specs:
             mask = present[0] if present else None
             names = [f"{sym}_{suf}" for suf in self.sufs[axes]] if _somewhere(mask) else ()
             members.append((sym, names, kind, lo, hi, mask))
-        self.add_ids(axes, tuple(spec[0] for spec in specs), inst.add_vars(shape, members))
-
-    def add_ids(self, axes: str, syms: tuple[str, ...], ids: np.ndarray) -> None:
-        """Make ids over a grid, one symbol per last index, usable as row
-        terms by symbol."""
-        for i, sym in enumerate(syms):
-            self.v[sym], self.axes[sym] = ids[..., i], axes
+            self.axes[sym] = axes
+        self.inst.add_vars(self.shapes[axes], members)
 
     def ids_on(self, axes: str, sym: str) -> np.ndarray:
         """``sym``'s ids aligned to a grid: the grid's axes in its order,
@@ -610,7 +611,7 @@ class _Blocks:
         price choices j) flattened into one more, last axis."""
         key = (axes, sym)
         if key not in self.aligned:
-            ids, own = self.v[sym], self.axes[sym]
+            ids, own = self.inst.index[sym], self.axes[sym]
             extra = [i for i, a in enumerate(own) if a not in axes]
             order = [own.index(a) for a in axes if a in own] + extra
             shape = [ids.shape[own.index(a)] if a in own else 1 for a in axes]
@@ -632,7 +633,7 @@ class _Blocks:
         for f in families:
             start = at
             for sym, coef in f.terms:
-                ids = self.ids_on(axes, sym)
+                ids = self.ids_on(axes, sym) if isinstance(sym, str) else sym
                 if ids.ndim == len(shape):  # one column
                     slot, at = at, at + 1
                 else:  # a column per price choice
@@ -666,14 +667,13 @@ class _Blocks:
         for made, part in zip(self.made, (widths, cols, vals, rhs)):
             made.append(part)
 
-    def store_rows(self, inst: MilpInstance) -> None:
+    def store_rows(self) -> None:
         """The blocks made, in order, in one ``inst.add_rows`` call.
 
-        The builder's ids go first, and each part's blocks as soon as that
+        The aligned ids go first, and each part's blocks as soon as that
         part is joined, so that a paper-scale day needs little scratch
         memory beside the model's own.
         """
-        self.v.clear()
         self.aligned.clear()
         widths, *parts = self.made
         ptr = np.concatenate([[0], *widths])
@@ -683,7 +683,7 @@ class _Blocks:
             parts[i] = np.concatenate(part)
             part.clear()
         cols, vals, rhs = parts
-        inst.add_rows(self.names, ptr, cols, vals, self.senses, rhs)
+        self.inst.add_rows(self.names, ptr, cols, vals, self.senses, rhs)
 
 
 def encode_bidding(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
@@ -898,9 +898,9 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
         _Rows("discharge_cap_{}", [("dis", 1.0), ("chg_on", pb)], "<=", pb, charging),
     ])
     if eb > 0:
-        soc = b.v["soc"]
+        soc = b.ids_on("slk", "soc")
         # soc at the previous hour; hour 0 has none, and its term is dropped.
-        b.add_ids("ksl", ("soc_prev",), np.concatenate([soc[:1], soc[:-1]])[..., None])
+        soc_prev = np.concatenate([soc[..., :1], soc[..., :-1]], axis=-1)
         first = np.arange(inst.data["K"]) == 0
         b.add_rows("slk", [
             _Rows(
@@ -909,7 +909,7 @@ def encode_storage(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
                     ("soc", 1.0),
                     ("chg", -config.eta_charge),
                     ("dis", 1.0 / config.eta_discharge),
-                    ("soc_prev", np.where(first, 0.0, -1.0)),
+                    (soc_prev, np.where(first, 0.0, -1.0)),
                 ],
                 "=",
                 np.where(first, inst.data["soc_initial"] * eb, 0.0),
@@ -945,7 +945,7 @@ def encode_objective(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     and then over (k, j) would add them, the order
     ``evaluate_objective`` sums in.
     """
-    v = b.v
+    v = inst.index
     K, n_m = inst.data["K"], inst.data["n_m"]
     pm, pr = inst.data["pm"], inst.data["pr"]
     ce, ci = inst.data["ce"], inst.data["ci"]
@@ -1061,44 +1061,32 @@ def extract_program(inst: MilpInstance, solution: Solution) -> DayAheadProgram:
     if solution.status not in ("optimal", "gap_limit") or solution.values is None:
         raise ValueError(f"cannot extract a program from a {solution.status} solution")
     x = round_binaries(inst, solution.values)
-    K, n_m = inst.data["K"], inst.data["n_m"]
-    sell_max, buy_min = inst.data["sell_max"], inst.data["buy_min"]
-    rec_base = np.array([x[inst.var("base_rec", k)] for k in range(K)])
-    bess_base = np.array([x[inst.var("base_bess", k)] for k in range(K)])
-    sell_choice = np.zeros((K, inst.data["n_m_full"]))
-    buy_choice = np.zeros((K, inst.data["n_m_full"]))
+    ids, K, n_m_full = inst.index, inst.data["K"], inst.data["n_m_full"]
+    prices = {"sell": inst.data["sell_max"], "buy": inst.data["buy_min"]}
+    choice = {side: np.zeros((K, n_m_full)) for side in prices}
+    on = {side: x[ids[f"{side}_on"]] > 0.5 for side in prices}
+    pick = {side: np.argmax(x[ids[f"pick_{side}"]], axis=1) for side in prices}
     bids: list[Bid | None] = []
     for k in range(K):
-        sell_on = x[inst.var("sell_on", k)] > 0.5
-        buy_on = x[inst.var("buy_on", k)] > 0.5
+        side = "sell" if on["sell"][k] else "buy" if on["buy"][k] else None
         bid = None
-        if sell_on:
-            j = int(np.argmax([x[inst.var("pick_sell", k, jj)] for jj in range(n_m)]))
-            sell_choice[k, j] = 1.0
+        if side is not None:
+            j = pick[side][k]
+            choice[side][k, j] = 1.0
             bid = Bid(
                 hour=k,
-                side="sell",
-                price=float(sell_max[j, k]),
-                quantity=float(x[inst.var("sell_qty", k)]),
-                submitted=True,
-            )
-        elif buy_on:
-            j = int(np.argmax([x[inst.var("pick_buy", k, jj)] for jj in range(n_m)]))
-            buy_choice[k, j] = 1.0
-            bid = Bid(
-                hour=k,
-                side="buy",
-                price=float(buy_min[j, k]),
-                quantity=float(x[inst.var("buy_qty", k)]),
+                side=side,
+                price=float(prices[side][j, k]),
+                quantity=float(x[ids[f"{side}_qty"][k]]),
                 submitted=True,
             )
         bids.append(bid)
     return DayAheadProgram(
-        rec_baseline=rec_base,
-        bess_baseline=bess_base,
+        rec_baseline=x[ids["base_rec"]],
+        bess_baseline=x[ids["base_bess"]],
         bids=tuple(bids),
-        sell_price_choice=sell_choice,
-        buy_price_choice=buy_choice,
+        sell_price_choice=choice["sell"],
+        buy_price_choice=choice["buy"],
     )
 
 
@@ -1112,13 +1100,16 @@ def spread_collapsed_plan(
     scenario 0 and price choice 0, the one block ``collapsed`` keeps. So
     every bid variable is 0, and each price scenario's recourse block is
     a copy of the no-bid one, which ``build_instance``'s proof shows
-    feasible with the same objective.
+    feasible with the same objective. A symbol whose grids do not
+    broadcast, or whose cells with a variable differ, is refused.
     """
     out = np.empty(inst.n_vars)
-    for sym, cells in inst.index.items():
-        block0 = collapsed.index[sym]
-        for idx, vid in cells.items():
-            out[vid] = values[block0[idx[:1] + (0,) * (len(idx) > 1) + idx[2:]]]
+    for sym, grid in inst.index.items():
+        block0 = np.broadcast_to(collapsed.index[sym], grid.shape)
+        present = grid >= 0
+        if not np.array_equal(present, block0 >= 0):
+            raise ValueError(f"{sym} has variables in other cells of the model without bids")
+        out[grid[present]] = values[block0[present]]
     return out
 
 
@@ -1135,8 +1126,7 @@ def planned_soc_paths(inst: MilpInstance, values: np.ndarray) -> np.ndarray:
     eb = inst.data["config"].battery_capacity_kwh
     paths = np.full((n_m, n_r, K + 1), inst.data["soc_initial"])
     if eb > 0:
-        for (k, s, l), vid in inst.index["soc"].items():
-            paths[s, l, k + 1] = values[vid] / eb
+        paths[..., 1:] = values[inst.index["soc"]].transpose(1, 2, 0) / eb
     return np.broadcast_to(paths, (inst.data["n_m_full"], n_r, K + 1)).copy()
 
 
@@ -1145,45 +1135,30 @@ def expected_cashflow(inst: MilpInstance, values: np.ndarray) -> dict[str, float
 
     Shared energy is re-derived as min(export, member demand) so the report
     stays meaningful when the incentive is zero and the solver leaves the
-    shared variable anywhere below its cap.
+    shared variable anywhere below its cap. Each entry sums its (k, s, l)
+    terms in that order.
     """
-    K, n_m, n_r = inst.data["K"], inst.data["n_m"], inst.data["n_r"]
-    pm, pr = inst.data["pm"], inst.data["pr"]
-    ce, ci = inst.data["ce"], inst.data["ci"]
-    md = inst.data["md"]
-    config: RecConfig = inst.data["config"]
-    out = {
-        "export_revenue": 0.0,
-        "import_cost": 0.0,
-        "shared_incentive": 0.0,
-        "msd_sell_revenue": 0.0,
-        "msd_buy_cost": 0.0,
-        "penalty_sell": 0.0,
-        "penalty_buy_refund": 0.0,
+    d, ids = inst.data, inst.index
+    w = d["pm"][None, :, None] * d["pr"][None, None, :]  # (1, n_m, n_r)
+    ce, ci, md = d["ce"][:, None, None], d["ci"][:, None, None], d["md"].T[:, None, :]
+    # Each hour's pick price, summed over the choices in order.
+    sell_price = buy_price = 0.0
+    for j in range(d["n_m"]):
+        sell_price = sell_price + values[ids["pick_sell"][:, j]] * d["sell_max"][j]
+        buy_price = buy_price + values[ids["pick_buy"][:, j]] * d["buy_min"][j]
+    sell_price, buy_price = sell_price[:, None, None], buy_price[:, None, None]
+    terms = {
+        "export_revenue": w * ce * values[ids["base_exp"]],
+        "import_cost": w * ci * values[ids["base_imp"]],
+        "shared_incentive": w * d["config"].incentive_shared * np.minimum(values[ids["exp"]], md),
+        "msd_sell_revenue": w * sell_price * values[ids["award_sell"]][..., None],
+        "msd_buy_cost": w * buy_price * values[ids["award_buy"]][..., None],
+        "penalty_sell": w * d["penalty_sell"] * values[ids["short_sell"]],
+        "penalty_buy_refund": w * d["penalty_buy"] * values[ids["short_buy"]],
     }
-    sell_max, buy_min = inst.data["sell_max"], inst.data["buy_min"]
-    for k in range(K):
-        sell_price = sum(
-            values[inst.var("pick_sell", k, j)] * sell_max[j, k] for j in range(n_m)
-        )
-        buy_price = sum(values[inst.var("pick_buy", k, j)] * buy_min[j, k] for j in range(n_m))
-        for s in range(n_m):
-            award_s = values[inst.var("award_sell", k, s)]
-            award_b = values[inst.var("award_buy", k, s)]
-            for l in range(n_r):
-                w = pm[s] * pr[l]
-                exp = values[inst.var("exp", k, s, l)]
-                out["export_revenue"] += w * ce[k] * values[inst.var("base_exp", k, s, l)]
-                out["import_cost"] += w * ci[k] * values[inst.var("base_imp", k, s, l)]
-                out["shared_incentive"] += w * config.incentive_shared * min(exp, md[l, k])
-                out["msd_sell_revenue"] += w * sell_price * award_s
-                out["msd_buy_cost"] += w * buy_price * award_b
-                out["penalty_sell"] += w * inst.data["penalty_sell"] * values[
-                    inst.var("short_sell", k, s, l)
-                ]
-                out["penalty_buy_refund"] += w * inst.data["penalty_buy"] * values[
-                    inst.var("short_buy", k, s, l)
-                ]
+    # Summed in C order, one addition at a time from 0.0 as a loop's += adds
+    # them; np.sum adds pairwise, which changes the last bits.
+    out = {key: float(np.cumsum(np.append(0.0, term))[-1]) for key, term in terms.items()}
     out["net"] = (
         out["export_revenue"]
         - out["import_cost"]

@@ -530,13 +530,10 @@ class _Oracle:
         self.binary_mask = np.zeros(inst.n_vars, dtype=bool)
         self.binary_mask[self.binaries] = True
         self.prop = _Propagator(A, self.senses, self.b, self.binary_mask)
-        prio = np.full(inst.n_vars, 2)
-        for sym, entries in inst.index.items():
-            p = _BRANCH_PRIORITY.get(sym)
-            if p is not None:
-                for vid in entries.values():
-                    prio[vid] = p
-        self.priority = prio
+        self.priority = np.full(inst.n_vars, 2)
+        for sym, grid in inst.index.items():
+            if sym in _BRANCH_PRIORITY:
+                self.priority[grid[grid >= 0]] = _BRANCH_PRIORITY[sym]
         # Row activity window of a feasible point, to 1e-7.
         self.row_lo = np.where(self.senses == "<=", -np.inf, self.b - 1e-7)
         self.row_hi = np.where(self.senses == ">=", np.inf, self.b + 1e-7)

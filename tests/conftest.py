@@ -136,6 +136,14 @@ def tiny_instance():
     return build_instance(*tiny_inputs())
 
 
+def add_cell_binary(inst: MilpInstance, sym: str, idx: tuple) -> int:
+    """Append ``sym``'s binary in (k, s, l) cell ``idx``, named as the
+    builder names it, and enter it in ``sym``'s id grid."""
+    vid = inst.add_var("{}_k{}_s{}_l{}".format(sym, *idx), BINARY, 0.0, 1.0)
+    inst.index[sym][idx] = vid
+    return vid
+
+
 def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
     """Put back, in place, the exclusivity binaries and cap rows that
     build_instance leaves out where its netting conditions hold, appended
@@ -153,7 +161,7 @@ def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
                 suf = f"k{k}_s{s}_l{l}"
                 idx = (k, s, l)
                 if d["exchange_netting"]:
-                    on = inst.add_var("exp_on", idx, f"exp_on_{suf}", BINARY, 0.0, 1.0)
+                    on = add_cell_binary(inst, "exp_on", idx)
                     exp, imp = inst.var("exp", *idx), inst.var("imp", *idx)
                     shared = inst.var("shared", *idx)
                     inst.add_row(f"export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
@@ -163,9 +171,7 @@ def with_exclusivity_binaries(inst: MilpInstance) -> MilpInstance:
                     )
                     inst.ub[shared] = pe
                 if d["base_netting"][k]:
-                    on = inst.add_var(
-                        "base_exp_on", idx, f"base_exp_on_{suf}", BINARY, 0.0, 1.0
-                    )
+                    on = add_cell_binary(inst, "base_exp_on", idx)
                     exp, imp = inst.var("base_exp", *idx), inst.var("base_imp", *idx)
                     inst.add_row(f"base_export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
                     inst.add_row(f"base_import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
@@ -199,14 +205,14 @@ def with_big_m_caps(inst: MilpInstance) -> MilpInstance:
     for idx in product(range(d["K"]), range(d["n_m"]), range(d["n_r"])):
         k, _s, l = idx
         suf = "k{}_s{}_l{}".format(*idx)
-        if "exp_on" in inst.index:
-            on = inst.var("exp_on", *idx)
+        on = int(inst.index["exp_on"][idx])
+        if on >= 0:
             exp, imp = inst.var("exp", *idx), inst.var("imp", *idx)
             inst.add_row(f"export_cap_{suf}", [(exp, 1.0), (on, -pe)], "<=", 0.0)
             inst.add_row(f"import_cap_{suf}", [(imp, 1.0), (on, pi)], "<=", pi)
-        on = inst.index.get("chg_on", {}).get(idx)
-        if on is None:
-            on = inst.add_var("chg_on", idx, f"chg_on_{suf}", BINARY, 0.0, 1.0)
+        on = int(inst.index["chg_on"][idx])
+        if on < 0:
+            on = add_cell_binary(inst, "chg_on", idx)
         chg, dis = inst.var("chg", *idx), inst.var("dis", *idx)
         inst.add_row(f"charge_cap_{suf}", [(chg, 1.0), (on, -pb)], "<=", 0.0)
         inst.add_row(f"discharge_cap_{suf}", [(dis, 1.0), (on, pb)], "<=", pb)
@@ -225,6 +231,7 @@ def with_bids_pinned(inst: MilpInstance) -> MilpInstance:
     that ``build_instance(..., allow_bids=False)`` builds.
     """
     for sym in ("sell_on", "buy_on", "pick_sell", "pick_buy"):
-        for vid in inst.index[sym].values():
+        grid = inst.index[sym]
+        for vid in grid[grid >= 0].tolist():
             inst.ub[vid] = 0.0
     return inst

@@ -88,6 +88,44 @@ def test_config_json_roundtrip(tmp_path):
     assert cfg.incentive_shared == 0.0
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"horizon_hours": "24"}', 'horizon_hours must be an integer, got "24"'),
+        ('{"horizon_hours": 24.0}', "horizon_hours must be an integer, got 24.0"),
+        ('{"battery_capacity_kwh": null}', "battery_capacity_kwh must be a number, got null"),
+        ('{"eta_charge": true}', "eta_charge must be a number, got true"),
+        ('{"p_export_max": "200"}', 'p_export_max must be a number, got "200"'),
+        ('{"p_export_max": NaN}', "p_export_max must be a number, got NaN"),
+        ('{"epsilon_max": -Infinity}', "epsilon_max must be a number or null, got -Infinity"),
+        ('{"penalty_sell": "high"}', 'penalty_sell must be a number or null, got "high"'),
+        ('{"renewable_only_charging": 1}', "renewable_only_charging must be true or false, got 1"),
+        (
+            '{"eta_charge": false, "horizon_hours": null}',
+            "eta_charge must be a number, got false; horizon_hours must be an integer, got null",
+        ),
+        ("[24]", "a config file holds one JSON object, got list"),
+    ],
+)
+def test_config_json_refuses_values_of_the_wrong_type(tmp_path, text, message):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
+        load_config_json(path)
+    assert str(info.value) == message
+
+
+def test_config_json_takes_null_where_a_field_may_be_unset(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"penalty_sell": null, "penalty_buy": 0.05, "epsilon_max": 3, '
+        '"renewable_only_charging": false, "soc_initial": 1}'
+    )
+    cfg = load_config_json(path)
+    assert (cfg.penalty_sell, cfg.penalty_buy, cfg.epsilon_max) == (None, 0.05, 3)
+    assert cfg.renewable_only_charging is False and cfg.soc_initial == 1
+
+
 def test_config_json_rejects_unknown_keys(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text('{"horizon_hourz": 6}')

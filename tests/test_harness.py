@@ -120,6 +120,16 @@ class TestRunSpec:
             RunSpec(config=small_config(), n_m=0)
         with pytest.raises(ValueError, match="n_r must be >= 1, got -1"):
             RunSpec(config=small_config(), n_r=-1)
+        # Scenario settings that would otherwise fail only inside run_day,
+        # with an error that names neither the setting nor the day.
+        for field, value, least in (
+            ("dmc_samples", 0, 1),
+            ("dmc_bins", 1, 2),
+            ("price_window_days", 0, 1),
+            ("price_window_days", -3, 1),
+        ):
+            with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {value}$"):
+                RunSpec(config=small_config(), **{field: value})
 
     def test_cli_refuses_bad_settings_before_solving(self, tmp_path):
         for flag, value in (("--time-limit", "0"), ("--gap", "-1"), ("--nm", "0")):
@@ -450,6 +460,28 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert "net" in payload
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"horizon_hours": "24"}', 'horizon_hours must be an integer, got "24"'),
+            ('{"battery_capacity_kwh": null}', "battery_capacity_kwh must be a number, got null"),
+            ('{"eta_charge": true}', "eta_charge must be a number, got true"),
+            ('{"horizon_hourz": 24}', "unknown config keys: ['horizon_hourz']"),
+            ("{", "Expecting property name enclosed in double quotes"),
+        ],
+    )
+    def test_plan_refuses_a_config_of_the_wrong_type(self, tmp_path, text, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        bundled = Path(__file__).resolve().parents[1] / "data" / "synthetic_week"
+        with pytest.raises(SystemExit) as info:
+            cli_main([
+                "plan", "--config", str(cfg_path), "--data-dir", str(bundled),
+                "--out-dir", str(tmp_path / "out"),
+            ])
+        assert str(info.value).startswith(f"invalid config: {message}")
+        assert not (tmp_path / "out").exists()
+
     def test_emit_writes_exchange_and_sidecar(self, tmp_path, monkeypatch):
         data = flat_week(n_days=1)
         data_dir = tmp_path / "data"
@@ -477,9 +509,9 @@ class TestCli:
         (inst,) = built
         assert (out / "instance.lp").read_text() == emit_exchange(inst)
         expected = {
-            inst.names[vid]: {"symbol": sym, "indices": list(idx)}
-            for sym, entries in inst.index.items()
-            for idx, vid in entries.items()
+            inst.names[inst.var(sym, *idx)]: {"symbol": sym, "indices": idx}
+            for sym, grid in inst.index.items()
+            for idx in np.argwhere(grid >= 0).tolist()
         }
         text = (out / "instance.vars.json").read_text()
         assert text == json.dumps(expected, indent=2, sort_keys=True) + "\n"

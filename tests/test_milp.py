@@ -172,9 +172,9 @@ class TestBuildCounts:
         )
         inst = build_instance(cfg, prices, energies, known_prices([0.08] * K, [0.25] * K))
         for sym in ("exp", "imp", "rec", "shared", "chg", "dis", "short_sell", "short_buy"):
-            assert len(inst.index[sym]) == K * nm * nr
-        assert len(inst.index["award_sell"]) == K * nm
-        assert len(inst.index["pick_sell"]) == K * nm
+            assert inst.index[sym].shape == (K, nm, nr) and (inst.index[sym] >= 0).all()
+        assert inst.index["award_sell"].shape == (K, nm) and (inst.index["award_sell"] >= 0).all()
+        assert inst.index["pick_sell"].shape == (K, nm) and (inst.index["pick_sell"] >= 0).all()
 
     def test_two_builds_emit_identical_text(self):
         a = emit_exchange(random_instance_for_text(3))
@@ -399,7 +399,7 @@ class TestStorage:
         )
         inst = build_instance(cfg, prices, energies, known_prices([0.08] * K, [0.25] * K))
         eb = cfg.battery_capacity_kwh
-        soc_ids = set(inst.index["soc"].values())
+        soc_ids = set(inst.index["soc"].ravel().tolist())
         storage_rows = [row for row in inst.rows if soc_ids & {vid for vid, _ in row[1]}]
         assert len(storage_rows) == K * nm * nr
         assert all(len(terms) <= 4 and sense == "=" for _, terms, sense, _ in storage_rows)
@@ -573,7 +573,7 @@ class TestExclusivityNetting:
         inputs = (cfg, prices, energies, known_prices([0.30, 0.08], [0.25, 0.25]))
         inst = build_instance(*inputs)
         assert inst.data["base_netting"].tolist() == [False, True]
-        assert {k for k, _s, _l in inst.index["base_exp_on"]} == {0}
+        assert set(np.argwhere(inst.index["base_exp_on"] >= 0)[:, 0].tolist()) == {0}
         assert "base_export_cap_k0_s1_l1" in inst.row_names
         assert "base_import_cap_k1_s0_l0" not in inst.row_names
         self.assert_same_optimum(inputs)
@@ -590,7 +590,7 @@ class TestExclusivityNetting:
         for gamma, kept in ((0.119, True), (0.0, False)):
             inst = build_instance(replace(cfg, incentive_shared=gamma), prices, energies, kp)
             assert inst.data["exchange_netting"] is not kept
-            assert ("exp_on" in inst.index) is kept
+            assert bool((inst.index["exp_on"] >= 0).any()) is kept
             assert ("shared_cap_k0_s0_l0" in inst.row_names) is kept
             # Without the flag, the member demand of 20 caps shared energy.
             assert inst.ub[inst.var("shared", 0, 0, 0)] == (50.0 if kept else 20.0)
@@ -759,7 +759,7 @@ ROW_BUFFERS = ("row_names", "row_senses", "row_rhs", "row_ptr", "row_cols", "row
 def six_vars() -> MilpInstance:
     inst = MilpInstance()
     for i in range(6):
-        inst.add_var("x", (i,), f"x_{i}", CONTINUOUS, 0.0, 1.0)
+        inst.add_var(f"x_{i}", CONTINUOUS, 0.0, 1.0)
     return inst
 
 
@@ -920,7 +920,7 @@ class TestRowView:
         # HiGHS and the oracle would read any other sense as an equality,
         # and the solution audit would skip the row.
         inst = MilpInstance()
-        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 1.0)
+        x = inst.add_var("x_0", CONTINUOUS, 0.0, 1.0)
         with pytest.raises(ValueError, match=f"^row 'cap_0' has sense {sense!r}, not <=, >= or =$"):
             inst.add_row("cap_0", [(x, 1.0)], sense, 1.0)
         assert (inst.n_rows, list(inst.row_ptr), len(inst.row_cols)) == (0, [0], 0)
@@ -930,9 +930,9 @@ class TestCheckSolution:
     @staticmethod
     def audited_instance():
         inst = MilpInstance()
-        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 4.0)
-        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, -1.0, 2.0)
-        z = inst.add_var("z", (0,), "z_0", BINARY, 0.0, 1.0)
+        x = inst.add_var("x_0", CONTINUOUS, 0.0, 4.0)
+        y = inst.add_var("y_0", CONTINUOUS, -1.0, 2.0)
+        z = inst.add_var("z_0", BINARY, 0.0, 1.0)
         inst.add_row("le_0", [(x, 1.0), (y, 1.0)], "<=", 2.0)
         inst.add_row("ge_0", [(y, 1.0), (z, 1.0)], ">=", 0.0)
         inst.add_row("eq_0", [(x, 1.0), (z, -1.0)], "=", 1.0)

@@ -29,7 +29,7 @@ WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
 
 def single_var_instance():
     inst = MilpInstance()
-    vid = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 5.0)
+    vid = inst.add_var("x_0", CONTINUOUS, 0.0, 5.0)
     inst.add_row("cap_0", [(vid, 3.0)], "<=", 6.0)
     inst.objective[vid] = 2.0
     return inst
@@ -37,7 +37,7 @@ def single_var_instance():
 
 def infeasible_instance():
     inst = MilpInstance()
-    vid = inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, 1.0)
+    vid = inst.add_var("x_0", CONTINUOUS, 0.0, 1.0)
     inst.add_row("r0", [(vid, 1.0)], ">=", 2.0)
     return inst
 
@@ -56,7 +56,7 @@ class TestEmit:
 
     def test_unnamed_variable_refused(self):
         inst = MilpInstance()
-        inst.add_var("x", (0,), "", CONTINUOUS, 0.0, 1.0)
+        inst.add_var("", CONTINUOUS, 0.0, 1.0)
         with pytest.raises(ValueError, match="no name"):
             emit_exchange(inst)
 
@@ -64,8 +64,8 @@ class TestEmit:
         # LP text keys variables by name; parse_lp would merge the two.
         inst = MilpInstance()
         for sym in ("x", "y", "z"):
-            inst.add_var(sym, (0,), f"{sym}_0", CONTINUOUS, 0.0, 1.0)
-        inst.add_var("w", (0,), "y_0", CONTINUOUS, 0.0, 1.0)
+            inst.add_var(f"{sym}_0", CONTINUOUS, 0.0, 1.0)
+        inst.add_var("y_0", CONTINUOUS, 0.0, 1.0)
         with pytest.raises(ValueError, match=r"^variables 1 and 3 share the name 'y_0'$"):
             emit_exchange(inst)
 
@@ -135,9 +135,9 @@ class TestEmit:
 
     def test_numpy_scalars_signed_zeros_and_infinite_bounds(self):
         inst = MilpInstance()
-        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, -0.0, np.inf)
-        on = inst.add_var("on", (0,), "on_0", BINARY, 0.0, 1.0)
-        z = inst.add_var("z", (), "z", CONTINUOUS, np.float64(-2.5), np.float64(1e-05))
+        x = inst.add_var("x_0", CONTINUOUS, -0.0, np.inf)
+        on = inst.add_var("on_0", BINARY, 0.0, 1.0)
+        z = inst.add_var("z", CONTINUOUS, np.float64(-2.5), np.float64(1e-05))
         mix = [(z, np.float64(1e20)), (x, np.float64(0.95)), (on, -1.0)]
         inst.add_row("mix", mix, "<=", np.float64(-0.0))
         inst.add_row("link", [(on, 2.0), (x, 1.0)], ">=", -3.0)
@@ -210,8 +210,8 @@ class TestParseLp:
     def test_minus_infinite_lower_bounds_round_trip(self):
         # Both Bounds forms: with an upper bound, and without one (free).
         inst = MilpInstance()
-        x = inst.add_var("x", (0,), "x_0", CONTINUOUS, -np.inf, 5.0)
-        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, -np.inf, np.inf)
+        x = inst.add_var("x_0", CONTINUOUS, -np.inf, 5.0)
+        y = inst.add_var("y_0", CONTINUOUS, -np.inf, np.inf)
         inst.add_row("cap", [(x, 1.0), (y, 1.0)], "<=", 3.0)
         inst.add_row("floor", [(y, 1.0)], ">=", -2.0)
         inst.objective.update({x: 1.0, y: -1.0})
@@ -464,8 +464,8 @@ class TestPropagation:
         """y in [0, 10] with objective 1, and x in [0, inf) in no objective
         term and no row but ``y >= lo``."""
         inst = MilpInstance()
-        inst.add_var("x", (0,), "x_0", CONTINUOUS, 0.0, np.inf)
-        y = inst.add_var("y", (0,), "y_0", CONTINUOUS, 0.0, 10.0)
+        inst.add_var("x_0", CONTINUOUS, 0.0, np.inf)
+        y = inst.add_var("y_0", CONTINUOUS, 0.0, 10.0)
         inst.objective[y] = 1.0
         return inst, y
 
