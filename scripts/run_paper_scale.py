@@ -4,11 +4,11 @@ one simulated week, all four study cases.
 
 Runs on the bundled synthetic data by default. HiGHS solves each day's
 MILP in this process, stopping at --time-limit per day and case. At ten
-by ten scenarios a day with bids has about 42,000 variables, 46,000
-rows, 151,000 nonzeros and 4,000 binaries (``base``), and about 40,000 /
-39,000 / 137,000 / 1,600 without the shared-energy incentive
+by ten scenarios a day with bids has about 39,000 variables, 40,000
+rows, 137,000 nonzeros and 4,000 binaries (``base``), and about 37,000 /
+33,000 / 123,000 / 1,600 without the shared-energy incentive
 (``no_incentive``). A day without bids models one price scenario:
-4,334 / 4,756 / 14,926 / 446 (``no_msd``) and 4,094 / 4,036 / 13,486 /
+4,046 / 4,084 / 13,438 / 446 (``no_msd``) and 3,806 / 3,364 / 11,998 /
 206 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
 gap, day 0 of ``no_msd`` solves to optimality in about 1.6 s and
 ``neither`` in about 0.2 s (HiGHS through scipy, one 2-vCPU machine);
@@ -49,7 +49,6 @@ def main() -> int:
         n_m=args.nm,
         n_r=args.nr,
         seed=args.seed,
-        backend="external",
         out_dir=args.out_dir,
         rel_gap=args.gap,
         time_limit_s=args.time_limit,

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .core import RecConfig, load_config_json, validate_config
-from .harness import RunSpec, compare_cases, day_inputs, load_week_data, run_day, run_week
+from .harness import BACKENDS, CASES, RunSpec, compare_cases, day_inputs, load_week_data
+from .harness import run_day, run_week
 from .milp import build_instance
 from .solver import emit_exchange
 
@@ -50,16 +52,20 @@ def _sidecar_json(inst) -> str:
 
 
 def _add_common(ap: argparse.ArgumentParser) -> None:
+    """The options every command shares; their defaults are RunSpec's."""
+    default = {f.name: f.default for f in fields(RunSpec)}
     ap.add_argument("--config", type=Path, help="JSON config file (defaults used if omitted)")
     ap.add_argument("--data-dir", type=Path, required=True)
     ap.add_argument("--out-dir", type=Path, required=True)
-    ap.add_argument("--case", choices=["base", "no_msd", "no_incentive", "neither"], default="base")
-    ap.add_argument("--nm", type=int, default=10, help="price scenario count")
-    ap.add_argument("--nr", type=int, default=10, help="energy scenario count")
-    ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--backend", choices=["external", "reference"], default="external")
-    ap.add_argument("--time-limit", type=float, default=300.0, help="seconds per solve")
-    ap.add_argument("--gap", type=float, default=1e-6, help="relative MIP gap")
+    ap.add_argument("--case", choices=CASES, default=default["case"])
+    ap.add_argument("--nm", type=int, default=default["n_m"], help="price scenario count")
+    ap.add_argument("--nr", type=int, default=default["n_r"], help="energy scenario count")
+    ap.add_argument("--seed", type=int, default=default["seed"])
+    ap.add_argument("--backend", choices=BACKENDS, default=default["backend"])
+    ap.add_argument(
+        "--time-limit", type=float, default=default["time_limit_s"], help="seconds per solve"
+    )
+    ap.add_argument("--gap", type=float, default=default["rel_gap"], help="relative MIP gap")
 
 
 def _spec(args) -> RunSpec:

@@ -9,7 +9,8 @@ EUR per kWh; nothing in the package converts to kW.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -51,50 +52,47 @@ class RecConfig:
     renewable_only_charging: bool = True
 
 
+# Each numeric field's allowed range: its description and its test. A field
+# that may be unset (None) is checked only when set.
+_FIELD_RANGES = {
+    "horizon_hours": (">= 1", lambda x: x >= 1),
+    "p_export_max": ("> 0", lambda x: x > 0),
+    "p_import_max": ("> 0", lambda x: x > 0),
+    # Zero-size battery is a legal degenerate plant (forces zero charge and
+    # discharge); negative sizes are not.
+    "battery_capacity_kwh": (">= 0", lambda x: x >= 0),
+    "battery_power_kwh_per_slot": (">= 0", lambda x: x >= 0),
+    "eta_charge": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "eta_discharge": ("in (0, 1]", lambda x: 0.0 < x <= 1.0),
+    "soc_initial": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "soc_final_min": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "soc_final_max": ("in [0, 1]", lambda x: 0.0 <= x <= 1.0),
+    "penalty_sell": (">= 0", lambda x: x >= 0),
+    "penalty_buy": (">= 0", lambda x: x >= 0),
+    "incentive_shared": (">= 0", lambda x: x >= 0),
+    "epsilon_max": (">= 0", lambda x: x >= 0),
+}
+
+
 def validate_config(config: RecConfig) -> list[str]:
     """Return a description of every violated configuration invariant.
 
     An empty list means the configuration is usable. Each entry names the
-    offending field and the bound it breaks; nothing is raised.
+    offending field and the bound it breaks, one entry per field: a NaN or
+    infinite value is refused as not finite. Nothing is raised.
     """
     v: list[str] = []
-    if config.horizon_hours < 1:
-        v.append(f"horizon_hours must be >= 1, got {config.horizon_hours}")
-    if config.p_export_max <= 0:
-        v.append(f"p_export_max must be > 0, got {config.p_export_max}")
-    if config.p_import_max <= 0:
-        v.append(f"p_import_max must be > 0, got {config.p_import_max}")
-    # Zero-size battery is a legal degenerate plant (forces zero charge and
-    # discharge); negative sizes are not.
-    if config.battery_capacity_kwh < 0:
-        v.append(f"battery_capacity_kwh must be >= 0, got {config.battery_capacity_kwh}")
-    if config.battery_power_kwh_per_slot < 0:
-        v.append(
-            f"battery_power_kwh_per_slot must be >= 0, got {config.battery_power_kwh_per_slot}"
-        )
-    if not 0.0 < config.eta_charge <= 1.0:
-        v.append(f"eta_charge must be in (0, 1], got {config.eta_charge}")
-    if not 0.0 < config.eta_discharge <= 1.0:
-        v.append(f"eta_discharge must be in (0, 1], got {config.eta_discharge}")
-    if not 0.0 <= config.soc_initial <= 1.0:
-        v.append(f"soc_initial must be in [0, 1], got {config.soc_initial}")
-    if not 0.0 <= config.soc_final_min <= 1.0:
-        v.append(f"soc_final_min must be in [0, 1], got {config.soc_final_min}")
-    if not 0.0 <= config.soc_final_max <= 1.0:
-        v.append(f"soc_final_max must be in [0, 1], got {config.soc_final_max}")
-    if config.soc_final_min > config.soc_final_max:
-        v.append(
-            "soc_final_min must be <= soc_final_max, got "
-            f"{config.soc_final_min} > {config.soc_final_max}"
-        )
-    if config.penalty_sell is not None and config.penalty_sell < 0:
-        v.append(f"penalty_sell must be >= 0, got {config.penalty_sell}")
-    if config.penalty_buy is not None and config.penalty_buy < 0:
-        v.append(f"penalty_buy must be >= 0, got {config.penalty_buy}")
-    if config.incentive_shared < 0:
-        v.append(f"incentive_shared must be >= 0, got {config.incentive_shared}")
-    if config.epsilon_max is not None and config.epsilon_max < 0:
-        v.append(f"epsilon_max must be >= 0, got {config.epsilon_max}")
+    refused = set()
+    for name, (wanted, ok) in _FIELD_RANGES.items():
+        value = getattr(config, name)
+        if value is None or (math.isfinite(value) and ok(value)):
+            continue
+        refused.add(name)
+        wanted = wanted if math.isfinite(value) else "finite"
+        v.append(f"{name} must be {wanted}, got {value}")
+    low, high = config.soc_final_min, config.soc_final_max
+    if not refused & {"soc_final_min", "soc_final_max"} and low > high:
+        v.append(f"soc_final_min must be <= soc_final_max, got {low} > {high}")
     return v
 
 

@@ -51,6 +51,7 @@ from .settlement import (
 from .solver import NoIncumbentError, emit_exchange, reference_solve, solve_external
 
 CASES = ("base", "no_msd", "no_incentive", "neither")
+BACKENDS = ("external", "reference")
 
 # One INFO line per planned day; silent unless the application configures
 # logging (for example ``logging.basicConfig(level=logging.INFO)``).
@@ -78,11 +79,12 @@ class RunSpec:
     def __post_init__(self):
         if self.case not in CASES:
             raise ValueError(f"case must be one of {CASES}, got {self.case!r}")
-        if self.backend not in ("external", "reference"):
+        if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}")
-        if self.time_limit_s <= 0:
+        # Negated, so that NaN fails too.
+        if not self.time_limit_s > 0:
             raise ValueError(f"time_limit_s must be > 0, got {self.time_limit_s}")
-        if self.rel_gap < 0:
+        if not self.rel_gap >= 0:
             raise ValueError(f"rel_gap must be >= 0, got {self.rel_gap}")
         least = {"n_m": 1, "n_r": 1, "dmc_samples": 1, "dmc_bins": 2, "price_window_days": 1}
         for name, low in least.items():

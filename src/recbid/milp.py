@@ -4,9 +4,12 @@ The builder turns a configuration plus price/energy scenario sets into an
 explicit list of variables, linear rows and a linear objective. Acceptance
 of a bid in each price scenario is encoded through precomputed 0/1
 coefficient matrices (bid prices are restricted to the predicted clearing
-prices, so no big-M reification is needed there); bilinear products of a
-binary and a bounded continuous variable use the standard four-row
-linearization with the tightest available bound.
+prices, so no big-M reification is needed there). The bid quantity is
+split into one quantity per price pick, each gated by its pick binary, so
+that the pay-as-bid revenue and the awarded quantities are linear sums of
+those; no product of a binary and a continuous variable needs a
+linearization of its own. A row or variable that the others imply is not
+built; each encoder's docstring holds the proof.
 
 Index convention: k = hour, s = price scenario, l = energy scenario,
 j = candidate price choice (ranges over price scenarios).
@@ -104,7 +107,6 @@ class MilpInstance:
     lb: list[float] = field(default_factory=list)
     ub: list[float] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-    objective_constant: float = 0.0
     index: dict[str, np.ndarray] = field(default_factory=dict)
     data: dict = field(default_factory=dict)
     row_names: list[str] = field(default_factory=list)
@@ -293,7 +295,7 @@ class MilpInstance:
         return A, list(self.row_senses), np.array(self.row_rhs)
 
     def evaluate_objective(self, values: np.ndarray) -> float:
-        total = self.objective_constant
+        total = 0.0
         for vid, coef in self.objective.items():
             total += coef * values[vid]
         return float(total)
@@ -361,8 +363,8 @@ def build_instance(
     ``inst.index[sym]`` is the id grid of each symbol: shape (K,) for the
     hourly bid and baseline variables, (K, n_m) over hours by price choices
     (``pick_*``, ``qty_pick_*``) or by price scenarios (``acc_*``,
-    ``award_*``, ``act_*``), and (K, n_m, n_r) for the recourse variables,
-    with -1 in the cells where a variable is left out.
+    ``award_*``), and (K, n_m, n_r) for the recourse variables, with -1 in
+    the cells where a variable is left out.
 
     Exclusivity binaries that some optimum provably never needs are not
     created (proofs in ``encode_energy_balance``). ``inst.data`` records
@@ -379,9 +381,9 @@ def build_instance(
     with probability 1; ``inst.data["price_collapse"]`` records that, and
     ``"n_m"`` is then 1 while ``"n_m_full"`` keeps the given count. The
     optimum is unchanged. With ``sell_on`` and ``buy_on`` at upper bound 0,
-    the rows force ``sell_qty``, ``buy_qty``, the picks, the per-pick
-    quantities, ``acc_*``, ``award_*`` and ``act_*`` to 0, and ``short_*``
-    to 0 through ``short_* <= award_*``. What is left of a (k, s, l) block
+    the rows force the picks, the per-pick quantities, ``sell_qty``,
+    ``buy_qty``, ``acc_*`` and ``award_*`` to 0, and ``short_*`` to 0
+    through ``short_* <= award_*``. What is left of a (k, s, l) block
     has no coefficient or right-hand side that depends on s: ``res``,
     ``load`` and ``md`` depend on l, the tariffs on k, and the penalties
     multiply only the zero shortfalls. So s enters only through the
@@ -431,6 +433,8 @@ def build_instance(
         )
     load = energies.channel("load")
     md = energies.channel("member_demand")
+    if (md < 0).any():
+        raise BuildError(["member_demand scenarios contain negative values"])
     md_max = float(md.max()) if md.size else 0.0
     eb = config.battery_capacity_kwh
     pb = config.battery_power_kwh_per_slot if eb > 0 else 0.0
@@ -483,15 +487,13 @@ def build_instance(
         ("qty_pick_sell", CONTINUOUS, 0.0, pe),
         ("qty_pick_buy", CONTINUOUS, 0.0, pi),
     ])
-    # Acceptance and activity flags are affinely pinned to the pick and on
-    # binaries, so they stay 0/1 without a binary marker.
+    # Acceptance flags are affinely pinned to the pick binaries, so they
+    # stay 0/1 without a binary marker.
     b.add_vars("ks", [
         ("acc_sell", CONTINUOUS, 0.0, 1.0),
         ("acc_buy", CONTINUOUS, 0.0, 1.0),
         ("award_sell", CONTINUOUS, 0.0, pe),
         ("award_buy", CONTINUOUS, 0.0, pi),
-        ("act_sell", CONTINUOUS, 0.0, 1.0),
-        ("act_buy", CONTINUOUS, 0.0, 1.0),
     ])
     # Without exp_on, the member-demand cap on shared energy is a bound
     # (see encode_shared_energy).
@@ -504,7 +506,6 @@ def build_instance(
         ("base_exp", CONTINUOUS, 0.0, pe),
         ("base_imp", CONTINUOUS, 0.0, pi),
         ("base_exp_on", BINARY, 0.0, 1.0, ~base_netting[:, None, None]),
-        ("rec", CONTINUOUS, -(pi + md_max), pe),
         ("short_sell", CONTINUOUS, 0.0, pe),
         ("short_buy", CONTINUOUS, 0.0, pi),
         ("shift_up", CONTINUOUS, 0.0, eps),
@@ -522,7 +523,7 @@ def build_instance(
         soc_hi = np.where(last, config.soc_final_max * eb, eb)
         b.add_vars("ksl", [("soc", CONTINUOUS, soc_lo, soc_hi)])
 
-    encode_bidding(inst, b, config)
+    encode_bidding(inst, b)
     encode_acceptance(inst, b, prices)
     encode_energy_balance(inst, b, config)
     encode_relaxation_logic(inst, b)
@@ -686,12 +687,19 @@ class _Blocks:
         self.inst.add_rows(self.names, ptr, cols, vals, self.senses, rhs)
 
 
-def encode_bidding(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
-    """Bid quantity gating, the one-bid-per-hour rule and price-choice sums."""
-    pe, pi = config.p_export_max, config.p_import_max
+def encode_bidding(inst: MilpInstance, b: _Blocks) -> None:
+    """The one-bid-per-hour rule and price-choice sums.
+
+    The bid quantity is gated through its per-pick quantities
+    (``encode_objective``), so it needs no cap row of its own. Write q_j
+    for ``qty_pick_sell[k, j]``, ``pick_j`` for ``pick_sell[k, j]`` and
+    ``on`` for ``sell_on[k]``; buy is the same with p_import_max in place
+    of pe = p_export_max. The rows built say q_j <= pe pick_j, sum_j q_j =
+    ``sell_qty`` and sum_j pick_j = ``on``, so ``sell_qty`` = sum_j q_j <=
+    pe sum_j pick_j = pe ``on`` at every point, relaxed or not: the cap
+    ``sell_qty <= pe sell_on`` holds without a row.
+    """
     b.add_rows("k", [
-        _Rows("sell_qty_cap_{}", [("sell_qty", 1.0), ("sell_on", -pe)], "<="),
-        _Rows("buy_qty_cap_{}", [("buy_qty", 1.0), ("buy_on", -pi)], "<="),
         _Rows("one_bid_{}", [("sell_on", 1.0), ("buy_on", 1.0)], "<=", 1.0),
         _Rows("pick_sell_sum_{}", [("pick_sell", 1.0), ("sell_on", -1.0)], "="),
         _Rows("pick_buy_sum_{}", [("pick_buy", 1.0), ("buy_on", -1.0)], "="),
@@ -699,44 +707,49 @@ def encode_bidding(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
 
 
 def encode_acceptance(inst: MilpInstance, b: _Blocks, prices: ScenarioSet) -> None:
-    """Scenario acceptance flags and the awarded-quantity products.
+    """Scenario acceptance flags and awarded quantities.
 
     A term over the price choices j takes its (k, s) row's acceptance
-    entries as coefficients; a zero entry drops the term.
+    entries as coefficients; a zero entry drops the term. With a_j =
+    ``a_sell[k, s, j]`` in {0, 1} and the notation of ``encode_bidding``,
+    the rows say ``acc_sell[k, s]`` = sum_j a_j pick_j and
+    ``award_sell[k, s]`` = sum_j a_j q_j: the flag says whether the
+    chosen price clears in scenario s, and the award is the bid quantity
+    where it does and 0 where it does not. Buy is the same.
+
+    These rows imply the product award = acc ``sell_qty`` at every point,
+    relaxed or not, through the three rows of its linearization, which
+    are therefore not built:
+
+    - award = sum_j a_j q_j <= sum_j q_j = ``sell_qty``;
+    - award <= pe sum_j a_j pick_j = pe acc;
+    - ``sell_qty`` - award = sum_j (1 - a_j) q_j <= pe sum_j (1 - a_j)
+      pick_j = pe (``on`` - acc) <= pe (1 - acc), as ``on`` <= 1.
+
+    The same sums give acc = sum_j a_j pick_j <= sum_j pick_j = ``on``.
     """
-    config = inst.data["config"]
-    pe, pi = config.p_export_max, config.p_import_max
     a_sell, a_buy = acceptance_matrices(prices)
     inst.data["a_sell"], inst.data["a_buy"] = a_sell, a_buy
     b.add_rows("ks", [
         _Rows("acc_sell_def_{}", [("acc_sell", 1.0), ("pick_sell", -a_sell)], "="),
         _Rows("acc_buy_def_{}", [("acc_buy", 1.0), ("pick_buy", -a_buy)], "="),
     ])
-    b.add_rows(
-        "ks",
-        _product_rows("award_sell", "sell_qty", "acc_sell", pe)
-        + _product_rows("award_buy", "buy_qty", "acc_buy", pi),
-    )
-    # Couple each award to the per-pick quantity products. Exact whenever
-    # the picks are integral (at most one pick is active), and it removes
-    # the relaxation's freedom to collect several prices for one quantity.
+    # Coupling each award to the per-pick quantities removes the
+    # relaxation's freedom to collect several prices for one quantity.
     b.add_rows("ks", [
         _Rows("award_sell_link_{}", [("award_sell", 1.0), ("qty_pick_sell", -a_sell)], "="),
         _Rows("award_buy_link_{}", [("award_buy", 1.0), ("qty_pick_buy", -a_buy)], "="),
     ])
 
 
-def _product_rows(prod, cont, flag, bound) -> list[_Rows]:
-    """prod = flag * cont for binary flag and cont in [0, bound]."""
-    return [
-        _Rows(f"{prod}_{{}}_le_qty", [(prod, 1.0), (cont, -1.0)], "<="),
-        _Rows(f"{prod}_{{}}_le_flag", [(prod, 1.0), (flag, -bound)], "<="),
-        _Rows(f"{prod}_{{}}_ge", [(prod, 1.0), (cont, -1.0), (flag, -bound)], ">=", -bound),
-    ]
-
-
 def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
-    """Facility balance, exchange identity, service balance and error caps.
+    """Facility balance, service balance, shortfall caps and baseline balance.
+
+    The community exchange with the members is exp - imp - md; it has no
+    variable of its own. ``rec_service`` holds it against the baseline,
+    the shifts and the delivered service, with md on the right-hand side.
+    A variable for it would take its bounds [-(pi + max md), pe] from
+    those of ``exp`` in [0, pe] and ``imp`` in [0, pi], as md >= 0.
 
     The export/import pairs (``exp``, ``imp``) and (``base_exp``,
     ``base_imp``) each have a binary that forbids exporting and importing
@@ -756,7 +769,7 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
       w = pm[s] pr[l] >= 0, which netting changes by
       w delta (ci[k] - ce[k]) >= 0.
     - ``exp_on[k, s, l]`` when the shared-energy incentive is zero. ``exp``
-      and ``imp`` enter ``cf_balance``, ``rec_identity`` and
+      and ``imp`` enter ``cf_balance``, ``rec_service`` and
       ``base_balance`` only as ``exp - imp``, and have no objective term;
       their one other row is ``shared <= exp``. With a zero incentive
       ``shared`` has no objective term either and can be set to 0, so
@@ -802,16 +815,11 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
         _Rows("export_cap_{}", [("exp", 1.0), ("exp_on", -exp_hi)], "<=", 0.0, exchanged),
         _Rows("import_cap_{}", [("imp", 1.0), ("exp_on", imp_hi)], "<=", imp_hi, exchanged),
         _Rows(
-            "rec_identity_{}",
-            [("rec", 1.0), ("exp", -1.0), ("imp", 1.0)],
-            "=",
-            -d["md"].T[:, None, :],
-        ),
-        _Rows(
             "rec_service_{}",
-            [("rec", 1.0), ("base_rec", -1.0), ("shift_up", -1.0), ("shift_dn", 1.0)]
+            [("exp", 1.0), ("imp", -1.0), ("base_rec", -1.0), ("shift_up", -1.0), ("shift_dn", 1.0)]
             + shortfalls,
             "=",
+            d["md"].T[:, None, :],
         ),
         _Rows("short_sell_cap_{}", [("short_sell", 1.0), ("award_sell", -1.0)], "<="),
         _Rows("short_buy_cap_{}", [("short_buy", 1.0), ("award_buy", -1.0)], "<="),
@@ -834,22 +842,21 @@ def encode_energy_balance(inst: MilpInstance, b: _Blocks, config: RecConfig) -> 
 
 
 def encode_relaxation_logic(inst: MilpInstance, b: _Blocks) -> None:
-    """Active-service flags (accepted AND submitted) gating the slack ranges."""
+    """Slack ranges gated on whether a service is active in the scenario.
+
+    A service is active when its bid is submitted and accepted, acc AND
+    ``on``. That is ``acc_*`` itself, with no flag of its own: acc <= ``on``
+    holds at every point (``encode_acceptance``), so at integral points
+    acc AND ``on`` = acc. In the relaxation, the rows acc + ``on`` - 1 <=
+    act <= min(acc, ``on``) of a separate flag act would admit acc as well,
+    so reading acc is never looser.
+    """
     eps = inst.data["epsilon_max"]
-    flags = []
-    for side in ("sell", "buy"):
-        act, acc, on = f"act_{side}", f"acc_{side}", f"{side}_on"
-        flags += [
-            _Rows(f"{act}_{{}}_ge", [(act, 1.0), (acc, -1.0), (on, -1.0)], ">=", -1.0),
-            _Rows(f"{act}_{{}}_le_acc", [(act, 1.0), (acc, -1.0)], "<="),
-            _Rows(f"{act}_{{}}_le_on", [(act, 1.0), (on, -1.0)], "<="),
-        ]
-    b.add_rows("ks", flags)
     b.add_rows("ksl", [
-        _Rows("shift_up_cap_{}", [("shift_up", 1.0), ("act_buy", eps)], "<=", eps),
-        _Rows("shift_dn_cap_{}", [("shift_dn", 1.0), ("act_sell", eps)], "<=", eps),
-        _Rows("resv_up_cap_{}", [("resv_up", 1.0), ("act_sell", -eps)], "<="),
-        _Rows("resv_dn_cap_{}", [("resv_dn", 1.0), ("act_buy", -eps)], "<="),
+        _Rows("shift_up_cap_{}", [("shift_up", 1.0), ("acc_buy", eps)], "<=", eps),
+        _Rows("shift_dn_cap_{}", [("shift_dn", 1.0), ("acc_sell", eps)], "<=", eps),
+        _Rows("resv_up_cap_{}", [("resv_up", 1.0), ("acc_sell", -eps)], "<="),
+        _Rows("resv_dn_cap_{}", [("resv_dn", 1.0), ("acc_buy", -eps)], "<="),
     ])
 
 
@@ -955,14 +962,16 @@ def encode_objective(inst: MilpInstance, b: _Blocks, config: RecConfig) -> None:
     pe, pi = config.p_export_max, config.p_import_max
     gamma = config.incentive_shared
 
-    b.add_rows(
-        "kj",
-        _product_rows("qty_pick_sell", "sell_qty", "pick_sell", pe)
-        + _product_rows("qty_pick_buy", "buy_qty", "pick_buy", pi),
-    )
-    # One pick at most is active per hour, so the per-pick quantities sum
-    # to the bid quantity at every integral point; stating that as a row
-    # keeps the relaxation from splitting one quantity across prices.
+    # Each per-pick quantity is gated by its pick. One pick at most is
+    # active per hour, so the per-pick quantities sum to the bid quantity.
+    # With that sum, these caps imply the rest of the product q_j = pick_j
+    # ``sell_qty`` at every point, relaxed or not: q_j <= ``sell_qty`` as
+    # each q is nonnegative, and ``sell_qty`` - q_j = sum_{i != j} q_i <=
+    # pe (``on`` - pick_j) <= pe (1 - pick_j) (notation of encode_bidding).
+    b.add_rows("kj", [
+        _Rows("qty_pick_sell_cap_{}", [("qty_pick_sell", 1.0), ("pick_sell", -pe)], "<="),
+        _Rows("qty_pick_buy_cap_{}", [("qty_pick_buy", 1.0), ("pick_buy", -pi)], "<="),
+    ])
     b.add_rows("k", [
         _Rows("qty_pick_sell_sum_{}", [("qty_pick_sell", 1.0), ("sell_qty", -1.0)], "="),
         _Rows("qty_pick_buy_sum_{}", [("qty_pick_buy", 1.0), ("buy_qty", -1.0)], "="),

@@ -8,7 +8,7 @@ the cash flow is settled with penalties on undelivered service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -166,29 +166,10 @@ class CashFlowReport:
         )
 
     def totals(self) -> dict[str, float]:
-        out = {
-            "export_revenue": float(self.export_revenue.sum()),
-            "import_cost": float(self.import_cost.sum()),
-            "shared_incentive": float(self.shared_incentive.sum()),
-            "msd_sell_revenue": float(self.msd_sell_revenue.sum()),
-            "msd_buy_cost": float(self.msd_buy_cost.sum()),
-            "penalty_sell": float(self.penalty_sell.sum()),
-            "penalty_buy_refund": float(self.penalty_buy_refund.sum()),
-        }
+        """Each component's day total, in field order, then the net's."""
+        out = {f.name: float(getattr(self, f.name).sum()) for f in fields(self)}
         out["net"] = float(self.net.sum())
         return out
-
-
-_REPORT_COLUMNS = [
-    "export_revenue",
-    "import_cost",
-    "shared_incentive",
-    "msd_sell_revenue",
-    "msd_buy_cost",
-    "penalty_sell",
-    "penalty_buy_refund",
-    "net",
-]
 
 
 def settle(
@@ -236,9 +217,8 @@ def settle(
 
 
 def report_to_dict(report: CashFlowReport) -> dict:
-    """JSON-ready structure with hourly series and totals."""
-    out = {"hourly": {}, "totals": report.totals()}
-    for col in _REPORT_COLUMNS[:-1]:
-        out["hourly"][col] = [float(v) for v in getattr(report, col)]
-    out["hourly"]["net"] = [float(v) for v in report.net]
-    return out
+    """JSON-ready structure with hourly series and totals, keyed as
+    ``totals`` keys them."""
+    hourly = {f.name: [float(v) for v in getattr(report, f.name)] for f in fields(report)}
+    hourly["net"] = [float(v) for v in report.net]
+    return {"hourly": hourly, "totals": report.totals()}

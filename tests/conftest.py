@@ -13,7 +13,7 @@ import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
 from recbid.core import DayTrajectory, RecConfig, ScenarioSet  # noqa: E402
-from recbid.milp import BINARY, MilpInstance, build_instance  # noqa: E402
+from recbid.milp import BINARY, CONTINUOUS, MilpInstance, build_instance  # noqa: E402
 
 hypothesis.settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True
@@ -219,6 +219,92 @@ def with_big_m_caps(inst: MilpInstance) -> MilpInstance:
         if config.renewable_only_charging:
             inst.add_row(f"green_charge_{suf}", [(chg, 1.0)], "<=", d["res"][l, k])
         inst.ub[chg] = pb
+    return inst
+
+
+def with_implied_rows(inst: MilpInstance) -> MilpInstance:
+    """Put back, in place, the rows and variables that build_instance leaves
+    out because the rows it builds imply them (proofs in the docstrings of
+    milp.encode_bidding, encode_acceptance, encode_energy_balance,
+    encode_relaxation_logic and encode_objective).
+
+    That model caps ``sell_qty <= pe sell_on`` and ``buy_qty <= pi
+    buy_on``; states each per-pick quantity as pick * quantity and each
+    award as acc * quantity in the rows of the product linearization; has
+    a flag ``act_*`` = acc AND on per (k, s), in three rows, which the
+    slack caps read in place of ``acc_*``; and has a variable ``rec`` =
+    exp - imp - md per (k, s, l), which ``rec_service`` reads in place of
+    ``exp - imp`` with right-hand side 0. The slack caps and
+    ``rec_service`` are rebuilt in place, and the rest is appended after
+    the built variables and rows; only the order of variables and rows
+    differs from the old model, which the tests use as the reference for
+    the optimum of the model without them.
+    """
+    d = inst.data
+    config = d["config"]
+    pe, pi = config.p_export_max, config.p_import_max
+    K, n_m, n_r = d["K"], d["n_m"], d["n_r"]
+    caps = {"sell": pe, "buy": pi}
+    for side in caps:
+        grid = np.full((K, n_m), -1)
+        for k, s in product(range(K), range(n_m)):
+            grid[k, s] = inst.add_var(f"act_{side}_k{k}_s{s}", CONTINUOUS, 0.0, 1.0)
+        inst.index[f"act_{side}"] = grid
+    rec = np.full((K, n_m, n_r), -1)
+    for idx in product(range(K), range(n_m), range(n_r)):
+        name = "rec_k{}_s{}_l{}".format(*idx)
+        rec[idx] = inst.add_var(name, CONTINUOUS, -(pi + float(d["md"].max())), pe)
+    inst.index["rec"] = rec
+
+    def pairs(frm, to):
+        return dict(zip(inst.index[frm].ravel().tolist(), inst.index[to].ravel().tolist()))
+
+    acc_to_act = {**pairs("acc_sell", "act_sell"), **pairs("acc_buy", "act_buy")}
+    exp_to_rec = pairs("exp", "rec")
+    imps = set(inst.index["imp"].ravel().tolist())
+    slack_caps = ("shift_up_cap_", "shift_dn_cap_", "resv_up_cap_", "resv_dn_cap_")
+    rows = []
+    for name, terms, sense, rhs in inst.rows:
+        if name.startswith(slack_caps):
+            terms = [(acc_to_act.get(vid, vid), coef) for vid, coef in terms]
+        elif name.startswith("rec_service_"):
+            terms = [(exp_to_rec.get(vid, vid), coef) for vid, coef in terms if vid not in imps]
+            rhs = 0.0
+        rows.append((name, terms, sense, rhs))
+    empty = MilpInstance()
+    for buffer in ("row_names", "row_senses", "row_rhs", "row_ptr", "row_cols", "row_vals"):
+        setattr(inst, buffer, getattr(empty, buffer))
+    for row in rows:
+        inst.add_row(*row)
+
+    def product_rows(name, prod, qty, flag, cap):
+        """Two rows of the product prod = flag * qty, for a 0/1 flag and
+        qty in [0, cap]; the third, prod <= cap * flag, is built for the
+        per-pick quantities and added below for the awards."""
+        inst.add_row(f"{name}_le_qty", [(prod, 1.0), (qty, -1.0)], "<=", 0.0)
+        inst.add_row(f"{name}_ge", [(prod, 1.0), (qty, -1.0), (flag, -cap)], ">=", -cap)
+
+    for side, cap in caps.items():
+        for k in range(K):
+            qty, on = inst.var(f"{side}_qty", k), inst.var(f"{side}_on", k)
+            inst.add_row(f"{side}_qty_cap_k{k}", [(qty, 1.0), (on, -cap)], "<=", 0.0)
+            for j in range(n_m):
+                q, pick = inst.var(f"qty_pick_{side}", k, j), inst.var(f"pick_{side}", k, j)
+                product_rows(f"qty_pick_{side}_k{k}_j{j}", q, qty, pick, cap)
+            for s in range(n_m):
+                award, acc = inst.var(f"award_{side}", k, s), inst.var(f"acc_{side}", k, s)
+                act, suf = inst.var(f"act_{side}", k, s), f"k{k}_s{s}"
+                product_rows(f"award_{side}_{suf}", award, qty, acc, cap)
+                inst.add_row(f"award_{side}_{suf}_le_flag", [(award, 1.0), (acc, -cap)], "<=", 0.0)
+                inst.add_row(
+                    f"act_{side}_{suf}_ge", [(act, 1.0), (acc, -1.0), (on, -1.0)], ">=", -1.0
+                )
+                inst.add_row(f"act_{side}_{suf}_le_acc", [(act, 1.0), (acc, -1.0)], "<=", 0.0)
+                inst.add_row(f"act_{side}_{suf}_le_on", [(act, 1.0), (on, -1.0)], "<=", 0.0)
+    for idx in product(range(K), range(n_m), range(n_r)):
+        k, _s, l = idx
+        terms = [(inst.var(sym, *idx), coef) for sym, coef in (("rec", 1), ("exp", -1), ("imp", 1))]
+        inst.add_row("rec_identity_k{}_s{}_l{}".format(*idx), terms, "=", -d["md"][l, k])
     return inst
 
 

@@ -237,9 +237,10 @@ class TestRelaxationLogic:
             ({on: 1.0, picks[0]: 0.0, picks[1]: 1.0}, 0, 0.0),  # submitted, rejected in s=0
             ({on: 1.0, picks[0]: 0.0, picks[1]: 1.0}, 1, 1.0),  # submitted, accepted in s=1
         ]
+        # The active flag (accepted and submitted) is acc_sell itself; see
+        # milp.encode_relaxation_logic.
         for fixes, s, expected in cases:
-            act = inst.var("act_sell", 0, s)
-            lo, hi = extremes(act, fixes)
+            lo, hi = extremes(inst.var("acc_sell", 0, s), fixes)
             assert lo == pytest.approx(expected, abs=1e-9)
             assert hi == pytest.approx(expected, abs=1e-9)
 

@@ -60,6 +60,21 @@ class TestValidateConfig:
         assert any("p_export_max" in p for p in problems)
         assert any("p_import_max" in p for p in problems)
 
+    def test_values_that_are_not_finite_are_refused_once_each(self):
+        # A bound check alone passes NaN (every comparison is false) and
+        # infinity (above every lower bound).
+        cfg = RecConfig(p_export_max=np.nan, battery_capacity_kwh=np.inf, penalty_sell=np.nan)
+        assert validate_config(cfg) == [
+            "p_export_max must be finite, got nan",
+            "battery_capacity_kwh must be finite, got inf",
+            "penalty_sell must be finite, got nan",
+        ]
+        cfg = small_config(eta_charge=-np.inf, soc_final_min=np.nan, soc_final_max=0.2)
+        assert validate_config(cfg) == [
+            "eta_charge must be finite, got -inf",
+            "soc_final_min must be finite, got nan",
+        ]
+
     def test_bad_cap_mode(self, tmp_path):
         # The shared-energy cap is no longer a setting: the field is gone
         # from RecConfig, and a config file naming it is refused.

@@ -110,10 +110,12 @@ class TestCases:
 
 class TestRunSpec:
     def test_solver_settings_validated(self):
-        with pytest.raises(ValueError, match="time_limit_s"):
-            RunSpec(config=small_config(), time_limit_s=0.0)
-        with pytest.raises(ValueError, match="rel_gap"):
-            RunSpec(config=small_config(), rel_gap=-1.0)
+        for time_limit_s in (0.0, float("nan")):
+            with pytest.raises(ValueError, match="time_limit_s"):
+                RunSpec(config=small_config(), time_limit_s=time_limit_s)
+        for rel_gap in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="rel_gap"):
+                RunSpec(config=small_config(), rel_gap=rel_gap)
         with pytest.raises(ValueError, match="backend"):
             RunSpec(config=small_config(), backend="quantum")
         with pytest.raises(ValueError, match="n_m must be >= 1, got 0"):
@@ -323,8 +325,8 @@ class TestDayLog:
         assert [(r.name, r.levelno) for r in caplog.records] == [("recbid", logging.INFO)] * 2
         for day, record in enumerate(caplog.records):
             assert re.fullmatch(
-                rf"day {day}, case no_msd: optimal, gap 0, nodes \d+; 93 vars, 132 rows, "
-                r"327 nonzeros, 15 binaries; 1 of 2 price scenarios modelled; \d+\.\d{3} s",
+                rf"day {day}, case no_msd: optimal, gap 0, nodes \d+; 84 vars, 75 rows, "
+                r"195 nonzeros, 15 binaries; 1 of 2 price scenarios modelled; \d+\.\d{3} s",
                 record.getMessage(),
             ), record.getMessage()
         # The log line leaves the run's outputs as they were.

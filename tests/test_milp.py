@@ -39,6 +39,7 @@ from conftest import (
     with_big_m_caps,
     with_bids_pinned,
     with_exclusivity_binaries,
+    with_implied_rows,
 )
 
 WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
@@ -49,14 +50,13 @@ def expected_counts(
 ):
     """Row/variable counts derived family by family, independent of the builder.
 
-    Rows: bid gating 2K, one-bid K, pick sums 2K, pick-quantity sums 2K;
-    acceptance definitions 2K*nm, award products 6K*nm, award links 2K*nm,
-    activity reification 6K*nm, pick-quantity products 6K*nm;
-    per (k,s,l): facility balance 1, exchange identity 1, service balance 1,
-    shortfall caps 2, baseline balance 1, slack caps 4, battery service 1,
-    shared-below-export 1 (12 total), plus 1 SOC balance row when the
+    Rows: one-bid K, pick sums 2K, pick-quantity sums 2K;
+    acceptance definitions 2K*nm, award links 2K*nm, pick-quantity caps
+    2K*nm; per (k,s,l): facility balance 1, service balance 1, shortfall
+    caps 2, baseline balance 1, slack caps 4, battery service 1,
+    shared-below-export 1 (11 total), plus 1 SOC balance row when the
     battery is real.
-    Variables: 6 per hour, 10 per (k,s), 14 per (k,s,l), plus 1 SOC
+    Variables: 6 per hour, 8 per (k,s), 13 per (k,s,l), plus 1 SOC
     variable per (k,s,l) when the battery is real. Binaries: 2 per hour,
     2 per (k,s).
     The charge flag (with its two caps) exists in the ``charge_cells``
@@ -67,8 +67,8 @@ def expected_counts(
     ``base_binary_hours`` hours whose export tariff is above the import
     tariff.
     """
-    rows = 7 * K + 22 * K * nm + 12 * K * nm * nr
-    n_vars = 6 * K + 10 * K * nm + 14 * K * nm * nr
+    rows = 5 * K + 6 * K * nm + 11 * K * nm * nr
+    n_vars = 6 * K + 8 * K * nm + 13 * K * nm * nr
     n_bin = 2 * K + 2 * K * nm
     if battery:
         rows += K * nm * nr
@@ -110,8 +110,8 @@ class TestBuildCounts:
         rows, n_vars, n_bin = expected_counts(
             1, 1, 1, battery=False, charge_cells=0, exchange_binaries=False
         )
-        assert tiny_instance.n_rows == rows == 41
-        assert tiny_instance.n_vars == n_vars == 30
+        assert tiny_instance.n_rows == rows == 22
+        assert tiny_instance.n_vars == n_vars == 27
         assert len(tiny_instance.binary_ids()) == n_bin == 4
 
     @pytest.mark.parametrize("K,nm,nr", [(1, 2, 1), (2, 2, 2), (3, 2, 2)])
@@ -145,10 +145,10 @@ class TestBuildCounts:
     # Bundled day 0 at 10x10, scenario seed 0: variables, rows, nonzeros and
     # binaries. A change that grows the model fails here.
     PAPER_SCALE_SIZES = {
-        "base": (42044, 46048, 151420, 4028),
-        "no_incentive": (39644, 38848, 137020, 1628),
-        "no_msd": (4334, 4756, 14926, 446),
-        "neither": (4094, 4036, 13486, 206),
+        "base": (39164, 39760, 137404, 4028),
+        "no_incentive": (36764, 32560, 123004, 1628),
+        "no_msd": (4046, 4084, 13438, 446),
+        "neither": (3806, 3364, 11998, 206),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -171,7 +171,7 @@ class TestBuildCounts:
             rng.uniform(0, 30, (nr, K)), rng.uniform(1, 5, (nr, K)), rng.uniform(2, 20, (nr, K))
         )
         inst = build_instance(cfg, prices, energies, known_prices([0.08] * K, [0.25] * K))
-        for sym in ("exp", "imp", "rec", "shared", "chg", "dis", "short_sell", "short_buy"):
+        for sym in ("exp", "imp", "shared", "chg", "dis", "short_sell", "short_buy"):
             assert inst.index[sym].shape == (K, nm, nr) and (inst.index[sym] >= 0).all()
         assert inst.index["award_sell"].shape == (K, nm) and (inst.index["award_sell"] >= 0).all()
         assert inst.index["pick_sell"].shape == (K, nm) and (inst.index["pick_sell"] >= 0).all()
@@ -194,10 +194,18 @@ class TestBuildValidation:
         energies = energy_set([[-1.0]], [[10.0]], [[20.0]])
         with pytest.raises(BuildError, match="^pv scenarios contain negative values"):
             build_instance(replace(cfg, renewable_only_charging=True), prices, energies, kp)
-        # Under grid charging, and in the other channels, a negative value
-        # bounds nothing and is built as given.
+        # Under grid charging, and in the load, a negative value bounds
+        # nothing and is built as given.
         build_instance(replace(cfg, renewable_only_charging=False), prices, energies, kp)
-        build_instance(cfg, prices, energy_set([[1.0]], [[-10.0]], [[-20.0]]), kp)
+        build_instance(cfg, prices, energy_set([[1.0]], [[-10.0]], [[20.0]]), kp)
+
+    def test_negative_member_demand_refused(self):
+        # The community exchange exp - imp - md stays within [-(pi + max md),
+        # pe] only for md >= 0, which the model relies on.
+        cfg, prices, _energies, kp = tiny_inputs()
+        energies = energy_set([[1.0]], [[10.0]], [[-20.0]])
+        with pytest.raises(BuildError, match="^member_demand scenarios contain negative values$"):
+            build_instance(cfg, prices, energies, kp)
 
     def test_invalid_config_refused_with_violations(self):
         cfg = small_config(eta_charge=0.0)
@@ -262,6 +270,16 @@ class TestAcceptanceMatrices:
         assert a_buy[0].min() == 1.0
 
 
+def exchange_minus_baseline(inst):
+    """Objective exp - imp - base_rec of hour 0's first scenario cell: the
+    community exchange less its baseline, plus the member demand."""
+    c = np.zeros(inst.n_vars)
+    c[inst.var("exp", 0, 0, 0)] = 1.0
+    c[inst.var("imp", 0, 0, 0)] = -1.0
+    c[inst.var("base_rec", 0)] = -1.0
+    return c
+
+
 class TestForcingRows:
     def test_no_bid_forces_zero_quantity_and_picks(self, tiny_instance):
         fixes = {("sell_on", (0,)): (0.0, 0.0)}
@@ -294,12 +312,11 @@ class TestForcingRows:
         for (sym, idx), (lo, hi) in fixes.items():
             vid = tiny_instance.var(sym, *idx)
             lb[vid], ub[vid] = lo, hi
-        c = np.zeros(tiny_instance.n_vars)
-        c[tiny_instance.var("rec", 0, 0, 0)] = 1.0
-        c[tiny_instance.var("base_rec", 0)] = -1.0
+        c = exchange_minus_baseline(tiny_instance)
         hi = solve_lp(c, A, senses, b, lb, ub, maximize=True)
         lo = solve_lp(c, A, senses, b, lb, ub, maximize=False)
-        assert abs(hi.objective) <= 1e-9 and abs(lo.objective) <= 1e-9
+        # The exchange is exp - imp - md, with md = 20.
+        assert abs(hi.objective - 20.0) <= 1e-9 and abs(lo.objective - 20.0) <= 1e-9
 
     def test_awarded_sell_shifts_exchange_by_quantity(self):
         # Sell accepted with 10 kWh and no shortfall: the exchange sits
@@ -331,13 +348,12 @@ class TestForcingRows:
         for (sym, idx), (lo_v, hi_v) in fixes.items():
             vid = inst.var(sym, *idx)
             lb[vid], ub[vid] = lo_v, hi_v
-        c = np.zeros(inst.n_vars)
-        c[inst.var("rec", 0, 0, 0)] = 1.0
-        c[inst.var("base_rec", 0)] = -1.0
+        c = exchange_minus_baseline(inst)
         hi = solve_lp(c, A, senses, b, lb, ub, maximize=True)
         lo = solve_lp(c, A, senses, b, lb, ub, maximize=False)
-        assert abs(hi.objective - 10.0) <= 1e-9
-        assert abs(lo.objective - 10.0) <= 1e-9
+        # The exchange is exp - imp - md, with md = 20.
+        assert abs(hi.objective - 10.0 - 20.0) <= 1e-9
+        assert abs(lo.objective - 10.0 - 20.0) <= 1e-9
 
 
 class TestStorage:
@@ -596,12 +612,12 @@ class TestExclusivityNetting:
             assert inst.ub[inst.var("shared", 0, 0, 0)] == (50.0 if kept else 20.0)
 
 
-class TestStrengthenedCaps:
-    """The exchange caps taken from the energy balance, and the charge
-    binaries left out where nothing can charge (proofs in
-    milp.encode_energy_balance and milp.encode_storage), keep the optimum
-    of the model with big-M caps and a charge binary in every cell, rebuilt
-    by with_big_m_caps."""
+class KeepsTheOptimum:
+    """Checks that the built model keeps the optimum of an older model,
+    which ``reference`` rebuilds from a built instance in place, and that
+    its LP relaxation is never looser."""
+
+    reference = None
 
     @staticmethod
     def optimum(inst, backend):
@@ -622,7 +638,7 @@ class TestStrengthenedCaps:
 
     def assert_same_optimum(self, inputs, allow_bids=True, backends=("highs",)):
         new = build_instance(*inputs, allow_bids=allow_bids)
-        old = with_big_m_caps(build_instance(*inputs, allow_bids=allow_bids))
+        old = self.reference(build_instance(*inputs, allow_bids=allow_bids))
         assert old.n_rows >= new.n_rows
         got = [self.optimum(inst, backend) for backend in backends for inst in (new, old)]
         scale = max(1.0, abs(got[0]))
@@ -643,6 +659,35 @@ class TestStrengthenedCaps:
     @pytest.mark.parametrize("seed", range(20))
     def test_random_family_keeps_its_optimum(self, seed):
         self.assert_same_optimum(random_inputs(seed), backends=("highs", "reference"))
+
+
+class TestStrengthenedCaps(KeepsTheOptimum):
+    """The exchange caps taken from the energy balance, and the charge
+    binaries left out where nothing can charge (proofs in
+    milp.encode_energy_balance and milp.encode_storage), keep the optimum
+    of the model with big-M caps and a charge binary in every cell, rebuilt
+    by with_big_m_caps."""
+
+    reference = staticmethod(with_big_m_caps)
+
+
+class TestImpliedRows(KeepsTheOptimum):
+    """The rows and variables left out because the built rows imply them
+    (the bid quantity caps, the product rows of the per-pick quantities
+    and the awards, the activity flags and the exchange variable ``rec``;
+    proofs in the milp encoders) keep the optimum of the model with them,
+    rebuilt by with_implied_rows."""
+
+    reference = staticmethod(with_implied_rows)
+
+    def test_reference_puts_back_what_was_left_out(self):
+        inputs = random_inputs(0)
+        new = build_instance(*inputs)
+        old = with_implied_rows(build_instance(*inputs))
+        K, n_m, n_r = 3, 2, 2
+        assert old.n_vars - new.n_vars == 2 * K * n_m + K * n_m * n_r
+        assert old.n_rows - new.n_rows == 2 * K + 16 * K * n_m + K * n_m * n_r
+        assert old.binary_ids() == new.binary_ids()
 
 
 class TestPriceCollapse:
@@ -868,7 +913,7 @@ class TestBlockBuild:
 
             monkeypatch.setattr(MilpInstance, method, counting)
         inst = build_instance(config, prices, energies, known, allow_bids=allow_bids)
-        assert (inst.n_vars, inst.n_rows) == (42044, 46048)
+        assert (inst.n_vars, inst.n_rows) == (39164, 39760)
         assert calls["add_var"] == calls["add_row"] == 0
         assert calls["add_vars"] <= 5 and calls["add_rows"] <= 1
 

@@ -73,32 +73,32 @@ class TestEmit:
     # Which of several tied plans HiGHS returns follows the variable order,
     # so the text also holds the order fixed.
     PINNED_SHA256 = {
-        "random0": "c7369b6f67dc6f78a636286fb83294af8bbabf4a2726bfd2d4c47e5a46e32ffb",
-        "random1": "b59492448491df0df7a475999bb68ce1eb15325761799f4dee41fa8367a05b87",
-        "random2": "4bd0271a718ad2702bc891c7fb45210931b8e5617a35d46ca5adb826d6ad6fbf",
-        "desk1": "4f52085b0e5f1f3c3c5181d17c732143b13c67c9b2365d9fc9b11cce1f1e5447",
-        "tiny": "3d7d884d5f6bb2f7fc1c6b7c41d4de6441d728b5339e49f6d1b4a97e502cb1ed",
-        "day0_base": "94d93e19081effbcd58cfb0e83814e36c41e9b5b40711bec9be16098d93f1dec",
-        "day0_no_incentive": "8c7fab33c6d5c9d1ee53acc1e8d3328ecd2cf8373feb6ace2efdd35b72e7b9aa",
-        "day0_no_msd": "ba70210f28d175ba45af2ce894e0b50310a9e1f85acfb2a0196b41bc7d6f52ef",
-        "day0_neither": "d62d95f2396e0f19f39107d03a389fca44accf831d52298bc64b90555abe5399",
-        "day0_3x2_no_battery": "ad12a5a97b0694cca879f5c821386b8a60fc0701c0a4594efb9c7ad835107db1",
-        "day0_3x2_grid_charging": "ea33a088e9973ebdcceb8029f61f5fe237e6ebddcee4aaa46685f9534ce7160a",
+        "random0": "a89a3dd55930cb6f922dbb63a1ff41b14eb405900f8e5c31ad9d9b8f29f5855c",
+        "random1": "8d6be260e6d2bb491fe5a6f1ba7cde38f7df527747f06ddc27a54d9b8a220aeb",
+        "random2": "cd6f0c573fac76e793af3ba8a9475641f4e4c2322bcbff40edce3dc4486fc477",
+        "desk1": "da9f7854e761ab606a3aea6c9ec95cce2162b3402a4bc1d0797a348d519dde02",
+        "tiny": "a06860aa171fe87cbc72501fcc8de41564a2383f41f9fcdcc602c21be69c096d",
+        "day0_base": "a61a5e0d9fc7b20688c7263c3aee322170b31f913feb33cb826cdfc28fdff34e",
+        "day0_no_incentive": "597a593b146967c960fc934e928c4f6d564763bb745091f68e41d94381d86c3a",
+        "day0_no_msd": "c678c3ef57253cc3d9c7922aeac96e843971ea70d51c2e7b2a8067c6ff242ffb",
+        "day0_neither": "1c09b30c622703adaa5c3afab244c3a829802e0603aabd97484415da15bdd5e4",
+        "day0_3x2_no_battery": "ef57e138f8c7a37e2f43e839ced36987253d18bb1078d9d60bf142afc88949fb",
+        "day0_3x2_grid_charging": "4ab0d5fce3dce1479988da56c0796842a6f3b42bfa0fd2b987e32483c25c2d77",
     }
     # evaluate_objective at default_rng(0).random(n_vars), as float.hex: the
     # objective dict's order is its summation order.
     PINNED_OBJECTIVE = {
-        "random0": "-0x1.dd7b0f4f57df4p-2",
-        "random1": "-0x1.46818dcd1abc7p-1",
-        "random2": "-0x1.0fd3c45efc37fp-1",
-        "desk1": "0x1.a275837e52563p-3",
-        "tiny": "0x1.b14526eb93a58p-7",
-        "day0_base": "-0x1.f8c504b9993a9p+1",
-        "day0_no_incentive": "-0x1.569581816387dp+2",
-        "day0_no_msd": "-0x1.08720fb9f68e8p+2",
-        "day0_neither": "-0x1.5af1f0b5b9110p+2",
-        "day0_3x2_no_battery": "-0x1.8f63105c3f142p+0",
-        "day0_3x2_grid_charging": "-0x1.a0f935a774e00p+0",
+        "random0": "-0x1.128f6b339618dp-1",
+        "random1": "-0x1.f676a912d976dp-2",
+        "random2": "-0x1.3041ddfa6b12cp-1",
+        "desk1": "-0x1.2024da6a8708ap-4",
+        "tiny": "-0x1.4a62a04b139c6p-5",
+        "day0_base": "-0x1.04340fca7674bp+2",
+        "day0_no_incentive": "-0x1.56f20eb967a37p+2",
+        "day0_no_msd": "-0x1.e26fd71749cedp+1",
+        "day0_neither": "-0x1.50cfdcfd16896p+2",
+        "day0_3x2_no_battery": "-0x1.9905f94ffc51ap+0",
+        "day0_3x2_grid_charging": "-0x1.3497a8c721012p+0",
     }
     # Bundled-week day 0, scenario seed 0: (case, n_m, n_r, config changes).
     PINNED_DAYS = {
