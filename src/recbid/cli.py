@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 from dataclasses import fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -24,31 +26,50 @@ from .milp import build_instance
 from .solver import emit_exchange
 
 
+# Printable ASCII but '"' and "\\": what json.dumps writes unescaped.
+_JSON_AS_IS = re.compile(r'[ !#-\[\]-~]*')
+
+
 def _sidecar_json(inst) -> str:
     """``instance.vars.json``: each variable's symbol and indices, by name.
 
     Byte for byte ``json.dumps(sidecar, indent=2, sort_keys=True) + "\\n"``
     of ``sidecar = {name: {"symbol": sym, "indices": list(idx)}}`` over
-    the cells ``idx`` of each symbol's id grid that hold a variable. It is
-    filled in from one template per symbol, because ``json.dumps`` with an
-    indent runs the pure-Python encoder, several times slower on a
-    paper-scale day.
+    the cells ``idx`` of each symbol's id grid that hold a variable. Each
+    entry is the join of its quoted name, one text per index and the
+    symbol's own closing text, all made once per symbol and index value,
+    because ``json.dumps`` with an indent runs the pure-Python encoder,
+    several times slower on a paper-scale day.
     """
     quote = json.encoder.encode_basestring_ascii
-    entries = {}
+    names: list[str] = []
+    entries: list[str] = []
     for sym, grid in inst.index.items():
-        # The entry's template: the quoted name, then the cell's indices.
-        indices = ",".join(["\n      {}"] * grid.ndim) + "\n    " if grid.ndim else ""
-        symbol = quote(sym).replace("{", "{{").replace("}", "}}")
-        template = '  {}: {{\n    "indices": [' + indices + '],\n    "symbol": ' + symbol + "\n  }}"
-        fill = template.format
         present = grid >= 0
-        for idx, vid in zip(np.argwhere(present).tolist(), grid[present].tolist()):
-            name = inst.names[vid]
-            entries[name] = fill(quote(name), *idx)
+        ids = grid[present].tolist()
+        sym_names = list(map(inst.names.__getitem__, ids))
+        # Index i of a cell: its line in the list, then "," or the list's end.
+        last = grid.ndim - 1
+        axes = [
+            map(
+                [f"\n      {v}" + ("," if i < last else "\n    ") for v in range(n)].__getitem__,
+                cells,
+            )
+            for i, (n, cells) in enumerate(zip(grid.shape, np.argwhere(present).T.tolist()))
+        ]
+        # A name JSON writes as it is needs no quote() of its own.
+        plain = _JSON_AS_IS.fullmatch("".join(sym_names))
+        inner = sym_names if plain else [quote(name)[1:-1] for name in sym_names]
+        tail = '],\n    "symbol": ' + quote(sym) + "\n  }"
+        names += sym_names
+        entries += map(
+            "".join,
+            zip(repeat('  "'), inner, repeat('": {\n    "indices": ['), *axes, repeat(tail)),
+        )
     if not entries:
         return "{}\n"
-    return "{\n" + ",\n".join([entries[name] for name in sorted(entries)]) + "\n}\n"
+    by_name = dict(zip(names, entries))
+    return "{\n" + ",\n".join(map(by_name.__getitem__, sorted(by_name))) + "\n}\n"
 
 
 def _add_common(ap: argparse.ArgumentParser) -> None:

@@ -19,8 +19,10 @@ from __future__ import annotations
 import contextlib
 import heapq
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from operator import add, getitem
+from itertools import chain, compress, islice, repeat
+from operator import add, eq, ne, not_
 from pathlib import Path
 
 import numpy as np
@@ -112,16 +114,60 @@ def emit_exchange(inst: MilpInstance) -> str:
     return "\n".join(out) + "\n"
 
 
+class LpRows(Sequence):
+    """The rows ``parse_lp`` read, in file order, as flat CSR arrays.
+
+    Row ``i`` is named ``names[i]`` and has the terms ``cols[ptr[i]:ptr[i +
+    1]]``, ids in the Bounds order of ``var_names``, with the coefficients
+    ``vals[...]``, both as written; its sense is ``senses[i]`` and its
+    right-hand side ``rhs[i]``. Read as a sequence, like ``milp.RowView``,
+    it yields ``(name, {variable name: coefficient}, sense, rhs)`` tuples,
+    each built when it is read, and it compares equal to a list of them.
+    """
+
+    def __init__(self, names, ptr, cols, vals, senses, rhs, var_names):
+        self.names, self.ptr, self.cols, self.vals = names, ptr, cols, vals
+        self.senses, self.rhs, self.var_names = senses, rhs, var_names
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]
+        terms = slice(self.ptr[i], self.ptr[i + 1])
+        names = map(self.var_names.__getitem__, self.cols[terms].tolist())
+        coeffs = dict(zip(names, self.vals[terms].tolist()))
+        return self.names[i], coeffs, self.senses[i], float(self.rhs[i])
+
+    def __iter__(self):
+        terms = zip(map(self.var_names.__getitem__, self.cols.tolist()), self.vals.tolist())
+        rows = zip(self.names, np.diff(self.ptr).tolist(), self.senses, self.rhs.tolist())
+        for name, n_terms, sense, rhs in rows:
+            yield name, dict(islice(terms, n_terms)), sense, rhs
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"LpRows({list(self)!r})"
+
+
 @dataclass
 class ParsedLp:
-    """LP text read back: ``names`` in Bounds order, ``rows`` as ``(name,
-    coefficients by variable name, sense, rhs)`` in file order. ``maximize``
-    is always True, the one sense emit_exchange writes."""
+    """LP text read back. ``names`` is the Bounds order; ``objective``,
+    ``lb`` and ``ub`` are keyed by name; ``rows`` are the rows in file
+    order as ``LpRows``, flat arrays that read as ``(name, coefficients by
+    variable name, sense, rhs)`` tuples. ``maximize`` is always True, the
+    one sense emit_exchange writes."""
 
     maximize: bool
     names: list[str]
     objective: dict[str, float]
-    rows: list[tuple[str, dict[str, float], str, float]]
+    rows: LpRows
     lb: dict[str, float]
     ub: dict[str, float]
     binaries: set[str] = field(default_factory=set)
@@ -130,14 +176,24 @@ class ParsedLp:
 _NUM_RE = re.compile(r"\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+")
 _NAME_RE = re.compile(r"[A-Za-z_][\w.]*")
 _VALUE_RE = re.compile(r"[+-]?[\d.eE+-]+")
+# Names of ASCII letters, digits, "_" and ".", one per line: all of them
+# fit _NAME_RE when their join matches.
+_ASCII_NAMES_RE = re.compile(r"(?:[A-Za-z_][\w.]*(?:\n[A-Za-z_][\w.]*)*)?", re.ASCII)
+_SENSE_OF = {sense: sense for sense in ("<=", ">=", "=")}
+_SIGN_BYTE = {"+": ord("+"), "-": ord("-")}
+# parse_lp decodes a section this many characters (whole lines) at a time,
+# so that the tokens of one piece at a time are alive.
+_PIECE_CHARS = 1 << 18
+# The ASCII characters other than "\n" at which str.splitlines() ends a line.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
-def _value(tok: str) -> float | None:
-    """A right-hand side or bound token as a float; None when it is not one."""
+def _value(tok: str) -> float:
+    """A right-hand side or bound token as a float; NaN when it is not one."""
     if _VALUE_RE.fullmatch(tok):
         with contextlib.suppress(ValueError):  # e.g. "1e"
             return float(tok)
-    return None
+    return np.nan
 
 
 def _refused(section: str, raw: str | None) -> ValueError:
@@ -145,6 +201,230 @@ def _refused(section: str, raw: str | None) -> ValueError:
     if raw is None:
         return ValueError("LP text ends before its End line")
     return ValueError(f"cannot parse {section} line: {raw!r}")
+
+
+def _as_lines(text: str) -> str:
+    """The lines ``text.splitlines()`` gives, each ended by "\\n"."""
+    if text.isascii() and not any(c in text for c in _LINE_BREAKS):
+        return text if not text or text.endswith("\n") else text + "\n"
+    lines = text.splitlines()
+    return "\n".join(lines) + "\n" if lines else ""
+
+
+def _line(text: str, at: int) -> tuple[str | None, int]:
+    """The line that starts at ``at`` and where the next one starts; None at the end."""
+    if at >= len(text):
+        return None, at
+    end = text.index("\n", at)
+    return text[at:end], end + 1
+
+
+def _find_line(text: str, line: str, at: int) -> int:
+    """Where the first line equal to ``line`` starts, from the line start
+    ``at`` on; -1 if there is none."""
+    if text.startswith(line + "\n", at):
+        return at
+    found = text.find("\n" + line + "\n", at)
+    return found + 1 if found >= 0 else -1
+
+
+def _plain(block: str) -> bool:
+    """Whether ``block`` is ASCII with no whitespace but " " and "\\n"."""
+    return block.isascii() and "\t" not in block and "\x1f" not in block
+
+
+def _token_counts(block: str) -> np.ndarray:
+    """The number of tokens on each line of a plain block of whole lines,
+    from the positions of its blanks and newlines."""
+    text = np.frombuffer(block.encode("ascii"), np.uint8)
+    newline = text == ord("\n")
+    blank = newline | (text == ord(" "))
+    starts = np.flatnonzero(blank[:-1] > blank[1:]) + 1  # a token after a blank
+    counts = np.diff(np.searchsorted(starts, np.flatnonzero(newline)), prepend=0)
+    if text.size and not blank[0]:
+        counts[0] += 1
+    return counts
+
+
+def _layout(block: str) -> tuple[list[str], np.ndarray]:
+    """``block.split()`` and the number of tokens on each line of the block."""
+    if _plain(block):
+        return block.split(), _token_counts(block)
+    tokens: list[str] = []
+    counts = []
+    for line in block.split("\n")[:-1]:
+        line_tokens = line.split()
+        tokens += line_tokens
+        counts.append(len(line_tokens))
+    return tokens, np.array(counts, dtype=np.int64)
+
+
+def _row_layout(block: str) -> tuple[list[str | None], list, np.ndarray]:
+    """The row names, tokens and tokens per line of a Subject To block.
+
+    A line's tokens start with one slot for its ``name:`` label. Its name
+    is None when there is no such label (no colon, or not one token before
+    it); then the line keeps only that slot, which fails every row shape.
+    """
+    if _plain(block):
+        tokens, counts = block.split(), _token_counts(block)
+        if counts.all():
+            # Every label is the line's first token "name:", with its one colon last.
+            labels = "\n".join(map(tokens.__getitem__, (np.cumsum(counts) - counts).tolist()))
+            names = labels[:-1].split(":\n")
+            one_colon_each = len(names) == len(counts) == labels.count(":")
+            if labels.endswith(":") and one_colon_each and all(names):
+                return names, tokens, counts
+    names, tokens, counts = [], [], []
+    for line in block.split("\n")[:-1]:
+        label, colon, body = line.partition(":")
+        label = label.split()
+        labelled = colon and len(label) == 1
+        names.append(label[0] if labelled else None)
+        body = body.split() if labelled else []
+        tokens.append(None)
+        tokens += body
+        counts.append(len(body) + 1)
+    return names, tokens, np.array(counts, dtype=np.int64)
+
+
+def _first(bad: np.ndarray, stop: int, n: int) -> int | None:
+    """The first bad line among the first ``stop`` of ``n``, where line
+    ``stop`` has the wrong shape when it is not the last; None if none."""
+    bad_at = np.flatnonzero(bad)
+    if bad_at.size:
+        return int(bad_at[0])
+    return stop if stop < n else None
+
+
+def _shape_stop(fits: np.ndarray) -> int:
+    """The first line of the wrong shape, or the number of lines."""
+    return len(fits) if fits.all() else int(np.argmin(fits))
+
+
+def _pieces(text: str, start: int, end: int):
+    """``(start, end)`` of whole-line pieces of ``text[start:end]``, each
+    about _PIECE_CHARS long."""
+    while start < end:
+        cut = text.find("\n", min(start + _PIECE_CHARS, end) - 1, end) + 1 or end
+        yield start, cut
+        start = cut
+
+
+class _Decoder:
+    """What ``parse_lp`` keeps while it decodes one text: each distinct
+    number converted once, and the Bounds names with their ids."""
+
+    def __init__(self):
+        self.number = _Memo(lambda num: float(num) if _NUM_RE.fullmatch(num) else np.nan)
+        self.value = _Memo(_value)
+        self.lower = _Memo(lambda tok: -np.inf if tok == "-inf" else self.value[tok])
+        self.id_of: dict[str, int] = {}  # a repeated name: its last Bounds line
+        self.n_names = 0  # the Bounds lines read; stand-in ids come after
+        self.name_ok: np.ndarray | None = None  # None when every Bounds name fits
+        self.missing: dict[str, int] = {}  # names without a Bounds line, with stand-in ids
+
+    def bounds(self, block: str):
+        """A piece of the Bounds section: the names, lower and upper
+        bounds and bad-line mask of its first ``stop`` lines, ``stop`` and
+        its number of lines. Line ``stop``, if there is one, has the wrong
+        shape; the names are checked in ``index``."""
+        tokens, counts = _layout(block)
+        n_lines = len(counts)
+        stop = _shape_stop((counts == 5) | (counts == 3))
+        counts = counts[:stop]
+        five = counts == 5  # lo <= x <= hi; else x >= lo
+        if five.all():  # as emit_exchange writes them when no upper bound is inf
+            tokens = tokens[: 5 * stop]
+            lo_tokens, names, hi_tokens = tokens[0::5], tokens[2::5], tokens[4::5]
+            le_tokens, ge_tokens = tokens[1::5] + tokens[3::5], []
+        else:
+            first = np.cumsum(counts) - counts
+
+            def tokens_at(index: np.ndarray) -> list[str]:
+                return list(map(tokens.__getitem__, index.tolist()))
+
+            lo_tokens = tokens_at(np.where(five, first, first + 2))
+            names = tokens_at(np.where(five, first + 2, first))
+            hi_tokens = tokens_at(first[five] + 4)
+            le_tokens = tokens_at(np.concatenate((first[five] + 1, first[five] + 3)))
+            ge_tokens = tokens_at(first[~five] + 1)
+        n_five = len(hi_tokens)
+        bad = np.zeros(stop, bool)
+        le = np.fromiter(map(ne, le_tokens, repeat("<=")), bool, 2 * n_five)
+        bad[five] = le.reshape(2, n_five).any(axis=0)
+        bad[~five] = np.fromiter(map(ne, ge_tokens, repeat(">=")), bool, stop - n_five)
+        lb = np.fromiter(map(self.lower.__getitem__, lo_tokens), float, stop)
+        ub = np.full(stop, np.inf)
+        ub[five] = np.fromiter(map(self.value.__getitem__, hi_tokens), float, n_five)
+        bad |= np.isnan(lb) | np.isnan(ub)
+        return names, lb, ub, bad, stop, n_lines
+
+    def index(self, names: list[str]) -> np.ndarray:
+        """Give the Bounds names their ids; the mask of the lines whose
+        name fails the grammar or repeats an earlier line's."""
+        n = self.n_names = len(names)
+        bad = np.zeros(n, bool)
+        if not _ASCII_NAMES_RE.fullmatch("\n".join(names)):
+            self.name_ok = np.fromiter(map(bool, map(_NAME_RE.fullmatch, names)), bool, n)
+            bad |= ~self.name_ok
+        self.id_of = dict(zip(names, range(n)))
+        if len(self.id_of) < n:
+            first_of = dict(zip(reversed(names), range(n - 1, -1, -1)))
+            bad |= np.fromiter(map(first_of.__getitem__, names), np.int64, n) != np.arange(n)
+        return bad
+
+    def terms(self, terms: list[str], per_line: np.ndarray):
+        """``sign number name`` triples, ``per_line[i]`` of them on line
+        ``i``: their coefficients, their ids and a mask of the lines with a
+        bad triple or with a name twice."""
+        n, n_vars = len(terms) // 3, self.n_names
+        signs = "".join(terms[0::3])
+        if len(signs) == n and signs.isascii():
+            sign = np.frombuffer(signs.encode(), np.uint8)
+        else:
+            sign = np.fromiter(map(_SIGN_BYTE.get, terms[0::3], repeat(0)), np.uint8, n)
+        minus = sign == ord("-")
+        magnitude = np.fromiter(map(self.number.__getitem__, terms[1::3]), float, n)
+        coefs = np.where(minus, 0.0 - magnitude, 0.0 + magnitude)
+        bad = ~(minus | (sign == ord("+"))) | np.isnan(magnitude)
+        names = terms[2::3]
+        ids = np.fromiter(map(self.id_of.get, names, repeat(-1)), np.int64, n)
+        for i in np.flatnonzero(ids < 0).tolist():
+            if _NAME_RE.fullmatch(names[i]):
+                ids[i] = self.missing.setdefault(names[i], n_vars + len(self.missing))
+            else:
+                bad[i] = True
+        if self.name_ok is not None:
+            known = (ids >= 0) & (ids < n_vars)
+            bad[known] |= ~self.name_ok[ids[known]]
+        owner = np.repeat(np.arange(len(per_line)), per_line)
+        bad_lines = np.zeros(len(per_line), bool)
+        bad_lines[owner[bad]] = True
+        if n:  # a name twice in a line: equal (line, id) keys, side by side once sorted
+            span = int(ids.max()) + 2
+            key = np.sort(owner * span + ids + 1)
+            bad_lines[key[1:][key[1:] == key[:-1]] // span] = True
+        return coefs, ids, bad_lines
+
+    def rows(self, block: str):
+        """A piece of the Subject To section: the row names, terms per
+        row, coefficients, column ids, senses and right-hand sides of its
+        lines up to the first bad one, and that line or None."""
+        names, tokens, counts = _row_layout(block)
+        n_lines = len(counts)
+        stop = _shape_stop((counts >= 3) & (counts % 3 == 0))  # label, triples, sense, rhs
+        counts = counts[:stop]
+        end = np.cumsum(counts)
+        keep = np.ones(int(end[-1]) if stop else 0, bool)
+        keep[end - counts] = keep[end - 2] = keep[end - 1] = False
+        per_line = counts // 3 - 1
+        coefs, cols, bad = self.terms(list(compress(tokens, keep.tobytes())), per_line)
+        take = tokens.__getitem__
+        senses = list(map(_SENSE_OF.get, map(take, (end - 2).tolist())))
+        rhs = np.fromiter(map(self.value.__getitem__, map(take, (end - 1).tolist())), float, stop)
+        bad |= np.fromiter(map(not_, senses), bool, stop) | np.isnan(rhs)
+        return names[:stop], per_line, coefs, cols, senses, rhs, _first(bad, stop, n_lines)
 
 
 def parse_lp(text: str) -> ParsedLp:
@@ -156,94 +436,118 @@ def parse_lp(text: str) -> ParsedLp:
     ``lo <= x <= hi`` or ``x >= lo`` per variable, where ``lo`` may also
     be ``-inf`` (a variable without a lower bound); optionally
     ``Binaries`` and one declared name per line, which caps its upper
-    bound at 1; ``End``. Terms are ``sign number name`` with distinct names in a line,
-    and every name in them needs a Bounds line. ``names`` is the Bounds
-    order. Any other line raises ``ValueError("cannot parse <section> line:
-    '<line>'")``, and so does text that ends before ``End``. Each distinct
-    number and name is checked against the grammar once.
+    bound at 1; ``End``. Terms are ``sign number name`` with distinct names
+    in a line, and every name in them needs a Bounds line. ``names`` is the
+    Bounds order. The first line of the text that breaks this raises
+    ``ValueError("cannot parse <section> line: '<line>'")``, and text that
+    ends before ``End`` raises too.
+
+    The sections are decoded in bulk, a piece of about 256 KiB at a time,
+    never line by line: one ``split()`` of the piece, token counts
+    per line from the positions of its blanks and newlines, and each check
+    a mask over the lines. A piece with whitespace other than " " and
+    "\\n", with non-ASCII text, or with a row whose colon does not end its
+    first token takes its counts from a split of each line instead, and
+    then the same checks. Each distinct number is converted once, the
+    Bounds names are checked by one regex over their join, and a name in
+    a term is its Bounds-order id by one dict lookup.
     """
-    # Signed coefficients and values are kept as floats, or None when the
-    # token fails the grammar.
-    signed = {
-        "+": _Memo(lambda num: 0.0 + float(num) if _NUM_RE.fullmatch(num) else None),
-        "-": _Memo(lambda num: 0.0 - float(num) if _NUM_RE.fullmatch(num) else None),
-    }
-    value = _Memo(_value)
-    lower = _Memo(lambda tok: -np.inf if tok == "-inf" else value[tok])
-    names_ok: set[str] = set()  # the names in the objective and the rows
-
-    def split_terms(tokens: list[str], end: int) -> dict[str, float] | None:
-        """``tokens[:end]`` as ``sign number name`` triples with distinct
-        names, in a dict; None if they are anything else."""
-        if end % 3:
-            return None
-        signs = tokens[0:end:3]
-        if signs.count("+") + signs.count("-") != len(signs):
-            return None
-        coefs = list(map(getitem, map(signed.__getitem__, signs), tokens[1:end:3]))
-        coeffs = dict(zip(tokens[2:end:3], coefs))
-        if None in coefs or len(coeffs) < len(coefs):
-            return None
-        if not names_ok.issuperset(coeffs):
-            new = coeffs.keys() - names_ok
-            if not all(map(_NAME_RE.fullmatch, new)):
-                return None
-            names_ok.update(new)
-        return coeffs
-
-    lines = iter(text.splitlines())
-    if (raw := next(lines, None)) != "Maximize":
+    text = _as_lines(text)
+    raw, at = _line(text, 0)
+    if raw != "Maximize":
         raise _refused("first", raw)
-    raw = next(lines, None)
-    label, colon, body = (raw or "").partition(":")
-    tokens = body.split()
-    objective = split_terms(tokens, len(tokens)) if colon and len(label.split()) == 1 else None
-    if objective is None or (raw := next(lines, None)) != "Subject To":
-        raise _refused("Maximize", raw)
-    rows: list[tuple[str, dict[str, float], str, float]] = []
-    for raw in lines:
-        if raw == "Bounds":
+    objective_line, at = _line(text, at)
+    head, rows_at = _line(text, at)
+    bounds_at = _find_line(text, "Bounds", rows_at)
+    rows_end = bounds_at if bounds_at >= 0 else len(text)
+    bounds_from = bounds_at + len("Bounds\n") if bounds_at >= 0 else len(text)
+    marks = (_find_line(text, "Binaries", bounds_from), _find_line(text, "End", bounds_from))
+    bounds_end = min([mark for mark in marks if mark >= 0], default=len(text))
+
+    # The Bounds section first: the terms name their variables by its ids.
+    # Its first bad line is raised in text order, below.
+    dec = _Decoder()
+    names: list[str] = []
+    lb, ub, bad = [np.zeros(0)], [np.zeros(0)], [np.zeros(0, bool)]
+    cut = False  # whether a line of the wrong shape ended the reading
+    for start, end in _pieces(text, bounds_from, bounds_end):
+        piece_names, piece_lb, piece_ub, piece_bad, stop, n_lines = dec.bounds(text[start:end])
+        names += piece_names
+        lb.append(piece_lb)
+        ub.append(piece_ub)
+        bad.append(piece_bad)
+        if cut := stop < n_lines:
             break
-        label, colon, body = raw.partition(":")
-        tokens = body.split()
-        sensed = len(tokens) >= 2 and tokens[-2] in ("<=", ">=", "=")
-        rhs = value[tokens[-1]] if sensed else None
-        coeffs = split_terms(tokens, len(tokens) - 2) if colon and rhs is not None else None
-        if coeffs is None or len(label := label.split()) != 1:
-            raise _refused("Subject To", raw)
-        rows.append((label[0], coeffs, tokens[-2], rhs))
-    lb, ub = {}, {}  # bounds by name, in Bounds order
-    for raw in lines:
-        if raw in ("Binaries", "End"):
-            break
-        tokens = raw.split()
-        if len(tokens) == 5 and tokens[1] == tokens[3] == "<=":
-            lo, name, hi = lower[tokens[0]], tokens[2], value[tokens[4]]
-        elif len(tokens) == 3 and tokens[1] == ">=":
-            lo, name, hi = lower[tokens[2]], tokens[0], np.inf
-        else:
-            raise _refused("Bounds", raw)
-        valid = name in names_ok or _NAME_RE.fullmatch(name)
-        if lo is None or hi is None or name in lb or not valid:
-            raise _refused("Bounds", raw)
-        lb[name], ub[name] = lo, hi
-    binaries: set[str] = set()
-    if raw == "Binaries":
-        for raw in lines:
-            if raw == "End":
-                break
-            name = raw.strip()
-            if name not in lb or name in binaries:
-                raise _refused("Binaries", raw)
-            binaries.add(name)
-            ub[name] = min(ub[name], 1.0)
-    if raw != "End":
+    lb, ub = np.concatenate(lb), np.concatenate(ub)
+    bad = np.concatenate(bad) | dec.index(names)
+    bounds_bad = _first(bad, len(names), len(names) + cut)
+
+    if objective_line is None:
+        raise _refused("Maximize", None)
+    label, colon, body = objective_line.partition(":")
+    terms = body.split()
+    if not colon or len(label.split()) != 1 or len(terms) % 3:
+        raise _refused("Maximize", objective_line)
+    coefs, _ids, bad = dec.terms(terms, np.array([len(terms) // 3]))
+    if bad.any():
+        raise _refused("Maximize", objective_line)
+    objective = dict(zip(terms[2::3], coefs.tolist()))
+    if head != "Subject To":
+        raise _refused("Maximize", head)
+
+    row_names: list[str] = []
+    parts = [(np.zeros(0, np.int64), np.zeros(0), np.zeros(0, np.int64), [], np.zeros(0))]
+    for start, end in _pieces(text, rows_at, rows_end):
+        block = text[start:end]
+        piece_names, *arrays, line = dec.rows(block)
+        if line is not None:
+            raise _refused("Subject To", block.split("\n")[line])
+        row_names += piece_names
+        parts.append(arrays)
+    per_line, coefs, cols, senses, rhs = zip(*parts)
+    if bounds_at < 0:
         raise _refused("End", None)
-    if (raw := next(lines, None)) is not None:
+    if bounds_bad is not None:
+        raise _refused("Bounds", text[bounds_from:bounds_end].split("\n")[bounds_bad])
+
+    binaries: list[str] = []
+    end_at = bounds_end if text.startswith("End\n", bounds_end) else -1
+    if text.startswith("Binaries\n", bounds_end):
+        binaries_from = bounds_end + len("Binaries\n")
+        end_at = _find_line(text, "End", binaries_from)
+        lines = text[binaries_from : end_at if end_at >= 0 else len(text)].split("\n")[:-1]
+        binaries = list(map(str.strip, lines))
+        ids = np.fromiter(map(dec.id_of.get, binaries, repeat(-1)), np.int64, len(binaries))
+        repeated = np.ones(len(ids), bool)
+        repeated[np.unique(ids, return_index=True)[1]] = False
+        if (line := _first((ids < 0) | repeated, len(ids), len(ids))) is not None:
+            raise _refused("Binaries", lines[line])
+        ub[ids] = np.minimum(ub[ids], 1.0)
+    if end_at < 0:
+        raise _refused("End", None)
+    raw, _at = _line(text, end_at + len("End\n"))
+    if raw is not None:
         raise _refused("End", raw)
-    if missing := names_ok.difference(lb):
-        raise ValueError(f"variable {min(missing)!r} has no Bounds line")
-    return ParsedLp(True, list(lb), objective, rows, lb, ub, binaries)
+    if dec.missing:
+        raise ValueError(f"variable {min(dec.missing)!r} has no Bounds line")
+    rows = LpRows(
+        row_names,
+        np.concatenate(([0], np.cumsum(np.concatenate(per_line)))),
+        np.concatenate(cols),
+        np.concatenate(coefs),
+        list(chain.from_iterable(senses)),
+        np.concatenate(rhs),
+        names,
+    )
+    return ParsedLp(
+        True,
+        names,
+        objective,
+        rows,
+        dict(zip(names, lb.tolist())),
+        dict(zip(names, ub.tolist())),
+        set(binaries),
+    )
 
 
 _HIGHS_STATUS = {0: "optimal", 1: "gap_limit", 2: "infeasible", 3: "unbounded"}

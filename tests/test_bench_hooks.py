@@ -2,9 +2,11 @@
 the package (``perfbench/layers.py``). Deleting or renaming one of them
 must fail here, not only in a benchmark run."""
 
+import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from recbid import cli, harness, highs_runner, milp, solver
 from recbid.core import RecConfig
@@ -80,3 +82,30 @@ def test_oracle_desk_cross_check_passes(monkeypatch):
     res = highs_runner.solve_parsed(solver.parse_lp(solver.emit_exchange(inst)), 60.0, 1e-9)
     ref = inst.evaluate_objective(np.asarray(res.x))
     assert abs(ref - sol.objective_value) <= workloads.CROSS_CHECK_RTOL * max(1.0, abs(ref))
+
+
+def test_parsed_lp_keeps_what_the_benchmark_reads():
+    # perfbench's round_trip_problems reads these ParsedLp fields and
+    # oracle_desk calls solve_parsed by keyword; a rename fails here, not
+    # in a benchmark run.
+    runner = importlib.import_module("recbid.highs_runner")
+    spec = harness.RunSpec(config=RecConfig(), case="no_msd", n_m=2, n_r=2)
+    config, allow_bids, prices, energies, known = harness.day_inputs(
+        spec, harness.load_week_data(ROOT / "data" / "synthetic_week"), 0
+    )
+    inst = milp.build_instance(
+        config, prices, energies, known, soc_initial=config.soc_initial, allow_bids=allow_bids
+    )
+    parsed = solver.parse_lp(solver.emit_exchange(inst))
+    assert parsed.names == inst.names and parsed.maximize is True
+    assert parsed.objective == {inst.names[v]: c for v, c in inst.objective.items() if c != 0.0}
+    assert len(parsed.rows) == inst.n_rows
+    for (name, coeffs, sense, rhs), row in zip(parsed.rows, inst.rows):
+        assert (name, sense, rhs) == (row[0], row[2], row[3])
+        assert coeffs == {inst.names[vid]: coef for vid, coef in row[1]}
+    assert [parsed.lb[name] for name in inst.names] == inst.lb
+    assert [parsed.ub[name] for name in inst.names] == inst.ub
+    assert parsed.binaries == {inst.names[i] for i in inst.binary_ids()}
+    res = runner.solve_parsed(parsed, time_limit=60.0, gap=1e-6)
+    assert res.status == 0
+    assert inst.evaluate_objective(np.asarray(res.x)) == pytest.approx(-res.fun, abs=1e-9)

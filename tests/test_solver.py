@@ -311,6 +311,199 @@ class TestParseLp:
                 parse_lp("\n".join(self.CANONICAL[:cut]) + "\n")
 
 
+def line_by_line(text):
+    """What parse_lp reads from valid LP text, taken one line at a time as
+    the grammar states it: the reference for its bulk decoding. The
+    ParsedLp fields, with every float as ``float.hex``."""
+    lines = iter(text.splitlines())
+    assert next(lines) == "Maximize"
+
+    def terms(tokens):
+        signs, numbers, names = tokens[0::3], tokens[1::3], tokens[2::3]
+        coefs = [0.0 + float(n) if s == "+" else 0.0 - float(n) for s, n in zip(signs, numbers)]
+        return [(name, coef.hex()) for name, coef in zip(names, coefs)]
+
+    objective = terms(next(lines).partition(":")[2].split())
+    assert next(lines) == "Subject To"
+    rows = []
+    for raw in lines:
+        if raw == "Bounds":
+            break
+        label, _colon, body = raw.partition(":")
+        tokens = body.split()
+        rows.append((label.strip(), terms(tokens[:-2]), tokens[-2], float(tokens[-1]).hex()))
+    lb, ub = {}, {}
+    for raw in lines:
+        if raw in ("Binaries", "End"):
+            break
+        tokens = raw.split()
+        if len(tokens) == 5:
+            lb[tokens[2]], ub[tokens[2]] = float(tokens[0]), float(tokens[4])
+        else:
+            lb[tokens[0]], ub[tokens[0]] = float(tokens[2]), np.inf
+    binaries = set()
+    if raw == "Binaries":
+        for raw in lines:
+            if raw == "End":
+                break
+            binaries.add(raw.strip())
+            ub[raw.strip()] = min(ub[raw.strip()], 1.0)
+    return {
+        "maximize": True,
+        "names": list(lb),
+        "objective": objective,
+        "rows": rows,
+        "lb": [(name, value.hex()) for name, value in lb.items()],
+        "ub": [(name, value.hex()) for name, value in ub.items()],
+        "binaries": binaries,
+    }
+
+
+def parsed_fields(parsed):
+    """``line_by_line``'s form of a ParsedLp."""
+    return {
+        "maximize": parsed.maximize,
+        "names": parsed.names,
+        "objective": [(name, coef.hex()) for name, coef in parsed.objective.items()],
+        "rows": [
+            (name, [(var, coef.hex()) for var, coef in coeffs.items()], sense, rhs.hex())
+            for name, coeffs, sense, rhs in parsed.rows
+        ],
+        "lb": [(name, value.hex()) for name, value in parsed.lb.items()],
+        "ub": [(name, value.hex()) for name, value in parsed.ub.items()],
+        "binaries": parsed.binaries,
+    }
+
+
+def bundled_day_text(day, case, n):
+    spec = RunSpec(config=RecConfig(), case=case, n_m=n, n_r=n, seed=0)
+    config, allow_bids, prices, energies, known = day_inputs(
+        spec, load_week_data(WEEK_DATA_DIR), day
+    )
+    return emit_exchange(build_instance(config, prices, energies, known, allow_bids=allow_bids))
+
+
+class TestParseLpParity:
+    """parse_lp decodes each section in bulk; every field must equal the
+    line-by-line reading, coefficients and bounds bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instances(self, seed):
+        text = emit_exchange(random_instance(seed))
+        assert parsed_fields(parse_lp(text)) == line_by_line(text)
+
+    @pytest.mark.parametrize("piece_chars", [1 << 18, 500])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days(self, day, case, piece_chars, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_PIECE_CHARS", piece_chars)
+        text = bundled_day_text(day, case, 3)
+        assert parsed_fields(parse_lp(text)) == line_by_line(text)
+
+    def test_paper_scale_day(self):
+        text = bundled_day_text(0, "base", 10)
+        parsed = parse_lp(text)
+        assert parsed_fields(parsed) == line_by_line(text)
+        rows = parsed.rows
+        assert len(rows.ptr) == len(rows) + 1 and rows.ptr[-1] == len(rows.cols) == len(rows.vals)
+        assert rows[-1] == list(rows)[-1]
+
+    def test_rows_compare_equal_to_their_tuples(self):
+        parsed = parse_lp(emit_exchange(single_var_instance()))
+        assert parsed.rows == [("cap_0", {"x_0": 3.0}, "<=", 6.0)]
+        assert [("cap_0", {"x_0": 3.0}, "<=", 6.0)] == parsed.rows
+        assert parsed.rows != [("cap_0", {"x_0": 3.0}, "<=", 7.0)]
+        assert parsed.rows != []
+
+    # Whitespace and line ends that are legal but not what emit_exchange writes.
+    VARIANTS = {
+        "tab": lambda line: line.replace(" ", "\t"),
+        "double spaces": lambda line: line.replace(" ", "  "),
+        "space before colon": lambda line: line.replace(":", " :"),
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_non_canonical_whitespace_reads_the_same(self, variant):
+        canonical = "\n".join(TestParseLp.CANONICAL) + "\n"
+        edit = self.VARIANTS[variant]
+        lines = [edit(line) if line[0] == " " else line for line in TestParseLp.CANONICAL]
+        text = "\n".join(lines) + "\n"
+        assert text != canonical
+        assert parse_lp(text) == parse_lp(canonical)
+
+    def test_crlf_line_ends_read_the_same(self):
+        canonical = "\n".join(TestParseLp.CANONICAL) + "\n"
+        assert parse_lp(canonical.replace("\n", "\r\n")) == parse_lp(canonical)
+
+    def test_non_ascii_name_reads_the_same(self):
+        lines = ["Maximize", " obj: + 1.0 x - 2.0 y", "Subject To", " r: + 1.0 x + 1.0 y <= 1.0"]
+        lines += ["Bounds", " 0.0 <= x <= 1.0", " 0.0 <= y <= 4.0", "Binaries", " x", "End"]
+        canonical = "\n".join(lines) + "\n"
+        text = canonical.replace("y", "y_é")
+        parsed, expected = parse_lp(text), parse_lp(canonical)
+        assert parsed.names == ["x", "y_é"]
+        assert parsed.objective == {"x": 1.0, "y_é": -2.0}
+        assert list(parsed.rows) == [("r", {"x": 1.0, "y_é": 1.0}, "<=", 1.0)]
+        assert (parsed.lb, parsed.ub) == ({"x": 0.0, "y_é": 0.0}, {"x": 1.0, "y_é": 4.0})
+        assert parsed.binaries == expected.binaries == {"x"}
+        assert parsed_fields(parsed) == line_by_line(text)
+
+
+def many_rows_lines(n=1200):
+    """LP text of ``n`` rows, ``n + 1`` variables and every even one binary."""
+    lines = ["Maximize", " obj: + 1.0 x0 - 2.0 x1", "Subject To"]
+    lines += [f" r{i}: + 1.0 x{i} - 2.5 x{i + 1} <= {i}.0" for i in range(n)]
+    lines.append("Bounds")
+    lines += [f" 0.0 <= x{i} <= 10.0" for i in range(n + 1)]
+    lines.append("Binaries")
+    lines += [f" x{i}" for i in range(0, n + 1, 2)]
+    return lines + ["End"]
+
+
+class TestBulkRefusals:
+    """A bad token in a text of many lines is refused with its own line,
+    the first such line, as the line-by-line reading refused it."""
+
+    ROWS = 3  # where row i sits in many_rows_lines
+    BOUNDS = 1200 + 4
+    BINARIES = BOUNDS + 1201 + 1
+    # (section, first line index, edit of that line); the same edit is
+    # also made 200 lines further on.
+    CASES = {
+        "sign": ("Subject To", ROWS + 700, lambda s: s.replace("+ 1.0", "* 1.0")),
+        "coefficient": ("Subject To", ROWS + 700, lambda s: s.replace("- 2.5", "- 2.5.0")),
+        "name": ("Subject To", ROWS + 700, lambda s: s.replace("x7", "7x")),
+        "sense": ("Subject To", ROWS + 700, lambda s: s.replace("<=", "=<")),
+        "rhs": ("Subject To", ROWS + 700, lambda s: s.replace(".0", ".0x")),
+        "name twice in a row": ("Subject To", ROWS + 700, lambda s: s.replace("x701", "x700")),
+        "Bounds lo": ("Bounds", BOUNDS + 700, lambda s: s.replace("0.0 <=", "zero <=")),
+        "Bounds hi": ("Bounds", BOUNDS + 700, lambda s: s.replace("10.0", "1e")),
+        "Bounds name twice": ("Bounds", BOUNDS + 700, lambda s: s.replace("x700", "x699")),
+        "Binaries name": ("Binaries", BINARIES + 350, lambda s: s + "y"),
+    }
+    # Each section in one piece, in pieces of some 30 lines, or with tabs
+    # (token counts from a split of each line).
+    LAYOUTS = {
+        "canonical": (lambda line: line, 1 << 18),
+        "small pieces": (lambda line: line, 1000),
+        "tabbed": (lambda line: "\t" + line[1:] if line[0] == " " else line, 1 << 18),
+    }
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("field", CASES)
+    def test_bad_token_names_its_line(self, field, layout, monkeypatch):
+        section, at, edit = self.CASES[field]
+        retype, piece_chars = self.LAYOUTS[layout]
+        monkeypatch.setattr(solver_mod, "_PIECE_CHARS", piece_chars)
+        lines = list(map(retype, many_rows_lines()))
+        assert parse_lp("\n".join(lines) + "\n").names[700] == "x700"
+        lines[at] = edit(lines[at])
+        lines[at + 200] = edit(lines[at + 200])
+        message = f"^cannot parse {section} line: {re.escape(repr(lines[at]))}$"
+        with pytest.raises(ValueError, match=message):
+            parse_lp("\n".join(lines) + "\n")
+
+
 class TestReferenceSolve:
     def test_pure_lp_when_no_binaries(self):
         sol = reference_solve(single_var_instance())
