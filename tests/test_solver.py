@@ -42,6 +42,27 @@ def infeasible_instance():
     return inst
 
 
+def edge_instance(empty_at=()):
+    """Numpy scalars, signed zeros, an infinite bound and an empty row, with
+    one more empty row before each row position in ``empty_at`` (0 to 4)."""
+    inst = MilpInstance()
+    x = inst.add_var("x_0", CONTINUOUS, -0.0, np.inf)
+    on = inst.add_var("on_0", BINARY, 0.0, 1.0)
+    z = inst.add_var("z", CONTINUOUS, np.float64(-2.5), np.float64(1e-05))
+    rows = [
+        ("mix", [(z, np.float64(1e20)), (x, np.float64(0.95)), (on, -1.0)], "<=", np.float64(-0.0)),
+        ("link", [(on, 2.0), (x, 1.0)], ">=", -3.0),
+        ("fix", [(z, np.float64(-0.125))], "=", np.float64(7.0)),
+        ("empty", [], "<=", 1.0),
+    ]
+    for at in sorted(empty_at, reverse=True):
+        rows.insert(at, (f"empty_before_{at}", [], ">=", np.float64(-0.0)))
+    for row in rows:
+        inst.add_row(*row)
+    inst.objective.update({z: -3.0, x: np.float64(1.5), on: -0.0})
+    return inst
+
+
 class TestEmit:
     def test_empty_instance_is_header_only(self):
         text = emit_exchange(MilpInstance())
@@ -134,16 +155,7 @@ class TestEmit:
         assert got_objective == self.PINNED_OBJECTIVE
 
     def test_numpy_scalars_signed_zeros_and_infinite_bounds(self):
-        inst = MilpInstance()
-        x = inst.add_var("x_0", CONTINUOUS, -0.0, np.inf)
-        on = inst.add_var("on_0", BINARY, 0.0, 1.0)
-        z = inst.add_var("z", CONTINUOUS, np.float64(-2.5), np.float64(1e-05))
-        mix = [(z, np.float64(1e20)), (x, np.float64(0.95)), (on, -1.0)]
-        inst.add_row("mix", mix, "<=", np.float64(-0.0))
-        inst.add_row("link", [(on, 2.0), (x, 1.0)], ">=", -3.0)
-        inst.add_row("fix", [(z, np.float64(-0.125))], "=", np.float64(7.0))
-        inst.add_row("empty", [], "<=", 1.0)
-        inst.objective.update({z: -3.0, x: np.float64(1.5), on: -0.0})
+        inst = edge_instance()
         assert emit_exchange(inst) == (
             "Maximize\n"
             " obj: + 1.5 x_0 - 3.0 z\n"
@@ -160,6 +172,110 @@ class TestEmit:
             " on_0\n"
             "End\n"
         )
+
+    # Bounds that LP text cannot hold: parse_lp would read an upper bound
+    # of -inf back as no upper bound, and refuse the others.
+    UNWRITABLE = {
+        "ub -inf": (0.0, -np.inf, r"\[0.0, -inf\]"),
+        "lb +inf": (np.inf, np.inf, r"\[inf, inf\]"),
+        "nan lb": (np.nan, 1.0, r"\[nan, 1.0\]"),
+        "nan ub": (0.0, np.float64(np.nan), r"\[0.0, nan\]"),
+    }
+
+    @pytest.mark.parametrize("case", UNWRITABLE)
+    def test_unwritable_bounds_refused(self, case):
+        lo, hi, shown = self.UNWRITABLE[case]
+        inst = edge_instance()
+        inst.add_var("bad_0", CONTINUOUS, lo, hi)
+        inst.add_var("bad_1", CONTINUOUS, lo, hi)
+        message = f"^variable 'bad_0' has the bounds {shown}, which LP text cannot hold$"
+        with pytest.raises(ValueError, match=message):
+            emit_exchange(inst)
+
+    def test_duplicate_name_refused_before_bounds(self):
+        inst = edge_instance()
+        inst.add_var("z", CONTINUOUS, np.nan, 1.0)
+        with pytest.raises(ValueError, match=r"^variables 2 and 3 share the name 'z'$"):
+            emit_exchange(inst)
+
+
+def per_row_emit(inst):
+    """LP text written one row and one variable at a time, as emit_exchange
+    wrote it before it joined chunks of pieces: the reference for its text."""
+    names = inst.names
+
+    def fmt(x):
+        return repr(float(x) + 0.0)
+
+    def term(coef, vid):
+        return f"{'+' if coef >= 0 else '-'} {fmt(abs(coef))} {names[vid]}"
+
+    out = ["Maximize"]
+    objective = inst.objective
+    terms = [term(coef, vid) for vid in sorted(objective) if (coef := objective[vid]) != 0.0]
+    out.append(" obj: " + " ".join(terms) if terms else " obj:")
+    out.append("Subject To")
+    cols, vals, ptr = inst.row_cols, inst.row_vals, inst.row_ptr
+    rows = zip(inst.row_names, inst.row_senses, inst.row_rhs, ptr, ptr[1:])
+    for name, sense, rhs, lo, hi in rows:
+        body = " ".join(map(term, vals[lo:hi], cols[lo:hi]))
+        out.append(f" {name}: {body} {sense} {fmt(rhs)}")
+    out.append("Bounds")
+    for name, lo, hi in zip(names, inst.lb, inst.ub):
+        if np.isinf(hi):
+            out.append(f" {name} >= {fmt(lo)}")
+        else:
+            out.append(f" {fmt(lo)} <= {name} <= {fmt(hi)}")
+    binaries = [names[i] for i in inst.binary_ids()]
+    if binaries:
+        out.append("Binaries")
+        out.extend(f" {name}" for name in binaries)
+    out.append("End")
+    return "\n".join(out) + "\n"
+
+
+def bundled_day_instance(day, case, n):
+    spec = RunSpec(config=RecConfig(), case=case, n_m=n, n_r=n, seed=0)
+    config, allow_bids, prices, energies, known = day_inputs(
+        spec, load_week_data(WEEK_DATA_DIR), day
+    )
+    return build_instance(config, prices, energies, known, allow_bids=allow_bids)
+
+
+@pytest.fixture(scope="module")
+def paper_scale_day():
+    return bundled_day_instance(0, "base", 10)
+
+
+class TestEmitParity:
+    """emit_exchange writes _ROW_CHUNK rows or variables at a time; its
+    text must equal the row-by-row writing byte for byte, wherever the
+    chunk edges fall."""
+
+    CHUNKS = [4096, 1, 2, 7]
+
+    @pytest.fixture(params=CHUNKS, autouse=True)
+    def chunk(self, request, monkeypatch):
+        monkeypatch.setattr(solver_mod, "_ROW_CHUNK", request.param)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_instances(self, seed):
+        inst = random_instance(seed)
+        assert emit_exchange(inst) == per_row_emit(inst)
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("day", [0, 1])
+    def test_bundled_days(self, day, case):
+        inst = bundled_day_instance(day, case, 2)
+        assert emit_exchange(inst) == per_row_emit(inst)
+
+    def test_paper_scale_day(self, paper_scale_day):
+        assert emit_exchange(paper_scale_day) == per_row_emit(paper_scale_day)
+
+    @pytest.mark.parametrize("empty_at", [(), (0,), (2,), (4,), (0, 2, 4), (0, 1, 2, 3, 4)])
+    def test_empty_rows(self, empty_at):
+        inst = edge_instance(empty_at)
+        assert emit_exchange(inst) == per_row_emit(inst)
 
 
 class TestParseLp:
@@ -376,11 +492,7 @@ def parsed_fields(parsed):
 
 
 def bundled_day_text(day, case, n):
-    spec = RunSpec(config=RecConfig(), case=case, n_m=n, n_r=n, seed=0)
-    config, allow_bids, prices, energies, known = day_inputs(
-        spec, load_week_data(WEEK_DATA_DIR), day
-    )
-    return emit_exchange(build_instance(config, prices, energies, known, allow_bids=allow_bids))
+    return emit_exchange(bundled_day_instance(day, case, n))
 
 
 class TestParseLpParity:
@@ -567,6 +679,7 @@ class TestReferenceSolve:
         assert sol.nodes == 1
 
 
+@np.errstate(invalid="ignore")  # offers that read an infinite bound are inf - inf = nan
 def full_sweep_run(A, senses, b, binary_mask, lb, ub, obj_cut=None, max_passes=12):
     """Bound propagation that reads every row on every pass, as the oracle
     did before it re-read only the rows of changed columns: the reference
