@@ -10,9 +10,10 @@ rows, 137,000 nonzeros and 4,000 binaries (``base``), and about 37,000 /
 (``no_incentive``). A day without bids models one price scenario:
 4,046 / 4,084 / 13,438 / 446 (``no_msd``) and 3,806 / 3,364 / 11,998 /
 206 (``neither``) on bundled day 0. With --time-limit 300 and a 1e-6
-gap, day 0 of ``no_msd`` solves to optimality in about 1.6 s and
-``neither`` in about 0.2 s (HiGHS through scipy, one 2-vCPU machine);
-the bid days stop at the limit. At 300 s and a 1e-3 gap, HiGHS is still
+gap, days 0-3 of ``no_msd`` solve to optimality in 0.4-0.9 s each and
+``neither`` in about 0.1 s (HiGHS through scipy's HiGHS binding, with
+feasibility jump and the root reduced-cost heuristic off, one 2-vCPU
+machine); the bid days stop at the limit. At 300 s and a 1e-3 gap, HiGHS is still
 in its root cut loop on ``base`` day 0 and has no feasible plan, so that
 day is planned without bids (objective 42.63 at scenario seed 0; see
 the README's Solvers section). The time a bid day takes to reach the

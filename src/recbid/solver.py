@@ -1,8 +1,9 @@
 """Solving MilpInstances: LP export, HiGHS, exact oracle.
 
-``solve_external`` solves an instance with HiGHS (through
-``scipy.optimize.milp``) in this process, from the instance's own sparse
-rows; LP text is only an export, for inspection or for other solvers.
+``solve_external`` solves an instance with HiGHS in this process, from
+the instance's own sparse rows, through ``highs_solve``, the one call into
+scipy's HiGHS binding; LP text is only an export, for inspection or for
+other solvers.
 ``parse_lp`` reads back exactly the grammar ``emit_exchange`` writes and
 refuses any other line.
 ``reference_solve`` is a self-contained exact search: branch-and-bound
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from itertools import chain, compress, islice, repeat
 from operator import eq, ne, not_
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -187,10 +189,20 @@ class LpRows(Sequence):
         return self.names[i], coeffs, self.senses[i], float(self.rhs[i])
 
     def __iter__(self):
-        terms = zip(map(self.var_names.__getitem__, self.cols.tolist()), self.vals.tolist())
-        rows = zip(self.names, np.diff(self.ptr).tolist(), self.senses, self.rhs.tolist())
-        for name, n_terms, sense, rhs in rows:
-            yield name, dict(islice(terms, n_terms)), sense, rhs
+        # _ROW_CHUNK rows at a time, so that one chunk's terms are lists.
+        for first in range(0, len(self), _ROW_CHUNK):
+            stop = min(first + _ROW_CHUNK, len(self))
+            lo, hi = self.ptr[first], self.ptr[stop]
+            names = map(self.var_names.__getitem__, self.cols[lo:hi].tolist())
+            terms = zip(names, self.vals[lo:hi].tolist())
+            rows = zip(
+                self.names[first:stop],
+                np.diff(self.ptr[first : stop + 1]).tolist(),
+                self.senses[first:stop],
+                self.rhs[first:stop].tolist(),
+            )
+            for name, n_terms, sense, rhs in rows:
+                yield name, dict(islice(terms, n_terms)), sense, rhs
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, str):
@@ -604,8 +616,8 @@ class NoIncumbentError(RuntimeError):
     """HiGHS reached its time limit before it found a feasible point.
 
     ``dual_bound`` is its bound on the maximized objective and ``nodes`` its
-    node count; both are None when the limit fell before the
-    branch-and-bound.
+    node count. A limit inside the root solve gives a bound and 0 nodes;
+    each is None where HiGHS had no figure yet, as in presolve.
     """
 
     def __init__(self, message: str, dual_bound: float | None, nodes: int | None):
@@ -614,21 +626,100 @@ class NoIncumbentError(RuntimeError):
         self.nodes = nodes
 
 
+# HiGHS's settings for every solve, besides the time limit and the gap.
+# Feasibility jump and the root reduced-cost heuristic look for incumbents
+# that the search on these models finds anyway; turning them off cut
+# HiGHS's time on the benchmark's light plans by about 40 % (CHANGES.md).
+HIGHS_OPTIONS = {
+    "output_flag": False,
+    "presolve": "on",
+    "mip_heuristic_run_feasibility_jump": False,
+    "mip_heuristic_run_root_reduced_cost": False,
+}
+
+
 def highs_solve(c, A, row_lo, row_hi, lb, ub, integrality, time_limit: float, gap: float):
     """Minimize ``c @ x`` subject to ``row_lo <= A @ x <= row_hi`` with HiGHS.
 
-    The package's one ``scipy.optimize.milp`` call, on ``_highs_arrays`` of
-    an instance: ``solve_external``'s own, or the one
-    ``highs_runner.solve_parsed`` rebuilds from a parsed LP file.
-    """
-    from scipy.optimize import Bounds, LinearConstraint, milp
+    The package's one HiGHS call, on ``_highs_arrays`` of an instance:
+    ``solve_external``'s own, or the one ``highs_runner.solve_parsed``
+    rebuilds from a parsed LP file. It drives scipy's HiGHS binding
+    (``scipy.optimize._highspy._core._Highs``) with ``HIGHS_OPTIONS``, a
+    ``time_limit`` in seconds and the relative gap ``gap``. A setting
+    HiGHS refuses, a model it cannot load and a failed run raise
+    RuntimeError.
 
-    return milp(
-        c,
-        constraints=[LinearConstraint(A, row_lo, row_hi)] if A.shape[0] else [],
-        integrality=integrality,
-        bounds=Bounds(lb, ub),
-        options={"time_limit": time_limit, "mip_rel_gap": gap, "presolve": True},
+    The result reads as ``scipy.optimize.milp``'s: ``status`` 0 optimal, 1
+    time or iteration limit, 2 infeasible, 3 unbounded, 4 other, with
+    HiGHS's ``message``; ``x`` and ``fun`` when ``milp`` would return them
+    (an optimum, or a limit with an incumbent) and None otherwise. With
+    binaries, ``mip_node_count`` and ``mip_dual_bound`` are HiGHS's
+    whenever it has them, also at a limit with no incumbent, and
+    ``mip_gap`` comes with ``x``; these are None for an LP and where HiGHS
+    has no figure (a negative count, an infinite bound).
+    """
+    from scipy.optimize._highspy import _core as highs
+    from scipy.sparse import csc_array
+
+    status_of = {
+        highs.HighsModelStatus.kOptimal: 0,
+        highs.HighsModelStatus.kTimeLimit: 1,
+        highs.HighsModelStatus.kIterationLimit: 1,
+        highs.HighsModelStatus.kInfeasible: 2,
+        highs.HighsModelStatus.kUnbounded: 3,
+    }
+    if not np.isfinite(c).all():  # HiGHS would take a NaN and not stop
+        raise ValueError("objective coefficients must be finite")
+    A = csc_array(A)
+    n_rows, n_cols = A.shape
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_cols
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = A.indptr
+    lp.a_matrix_.index_ = A.indices
+    lp.a_matrix_.value_ = A.data.astype(np.float64)
+    lp.col_cost_ = np.asarray(c, dtype=np.float64)
+    lp.col_lower_ = np.asarray(lb, dtype=np.float64)
+    lp.col_upper_ = np.asarray(ub, dtype=np.float64)
+    lp.row_lower_ = np.asarray(row_lo, dtype=np.float64)
+    lp.row_upper_ = np.asarray(row_hi, dtype=np.float64)
+    kinds = (highs.HighsVarType.kContinuous, highs.HighsVarType.kInteger)
+    integrality = np.asarray(integrality).tolist()
+    lp.integrality_ = list(map(kinds.__getitem__, integrality))
+    is_mip = any(integrality)
+
+    h = highs._Highs()
+    options = {**HIGHS_OPTIONS, "time_limit": float(time_limit), "mip_rel_gap": float(gap)}
+    for name, value in options.items():
+        if h.setOptionValue(name, value) == highs.HighsStatus.kError:
+            raise RuntimeError(f"HiGHS refused the setting {name} = {value!r}")
+    if h.passModel(lp) == highs.HighsStatus.kError:
+        raise RuntimeError(f"HiGHS could not load the model ({n_rows} rows, {n_cols} columns)")
+    if h.run() == highs.HighsStatus.kError:
+        model_status = h.modelStatusToString(h.getModelStatus())
+        raise RuntimeError(f"HiGHS run failed: {model_status}")
+
+    model_status, info = h.getModelStatus(), h.getInfo()
+    status = status_of.get(model_status, 4)
+    limits = (
+        highs.HighsModelStatus.kTimeLimit,
+        highs.HighsModelStatus.kIterationLimit,
+        highs.HighsModelStatus.kSolutionLimit,
+    )
+    has_x = status == 0 or (
+        is_mip and model_status in limits and info.objective_function_value != highs.kHighsInf
+    )
+    nodes = info.mip_node_count if is_mip and info.mip_node_count >= 0 else None
+    bound = info.mip_dual_bound if is_mip and np.isfinite(info.mip_dual_bound) else None
+    return SimpleNamespace(
+        status=status,
+        message=h.modelStatusToString(model_status),
+        x=np.array(h.getSolution().col_value) if has_x else None,
+        fun=info.objective_function_value if has_x else None,
+        mip_gap=info.mip_gap if is_mip and has_x else None,
+        mip_dual_bound=bound,
+        mip_node_count=nodes,
     )
 
 
@@ -688,7 +779,7 @@ def solve_external(
         (workdir / "solution.sol").write_text("\n".join(lines) + "\n")
     if status == "unknown":
         if res.status == 1:
-            # Both are None when the limit falls before the branch-and-bound.
+            # Each is None where HiGHS has no figure yet, as in presolve.
             bound, nodes = res.mip_dual_bound, res.mip_node_count
             bound = None if bound is None else -float(bound) + 0.0
             raise NoIncumbentError(

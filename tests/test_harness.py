@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
 
+import recbid.solver as solver_mod
 from recbid import cli
 from recbid.cli import main as cli_main
 from recbid.core import RecConfig
@@ -26,7 +26,7 @@ from recbid.settlement import decide_acceptance
 from recbid.solver import emit_exchange
 
 from conftest import small_config
-from test_solver import no_incumbent_milp
+from test_solver import no_incumbent_highs
 
 K = 3  # short days keep the reference oracle within its binary budget
 WEEK_DATA_DIR = Path(__file__).parents[1] / "data" / "synthetic_week"
@@ -221,7 +221,7 @@ class TestRunDay:
         # Without a workdir the failed day's instance goes to a scratch
         # directory, which the error names.
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        monkeypatch.setattr(solver_mod, "highs_solve", no_incumbent_highs)
         spec = tiny_spec(backend="external", case="no_msd")
         with pytest.raises(RuntimeError, match=r"^day 1, case no_msd: time limit of") as err:
             run_day(spec, flat_week(), 1, spec.config.soc_initial, None)
@@ -240,13 +240,13 @@ class TestRunDay:
 def first_solve_without_incumbent(monkeypatch):
     """Make HiGHS's first solve stop at its time limit with no feasible
     point, and run the later ones."""
-    real, calls = scipy.optimize.milp, []
+    real, calls = solver_mod.highs_solve, []
 
-    def milp(*args, **kwargs):
+    def highs_solve(*args, **kwargs):
         calls.append(args)
-        return no_incumbent_milp() if len(calls) == 1 else real(*args, **kwargs)
+        return no_incumbent_highs() if len(calls) == 1 else real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "milp", milp)
+    monkeypatch.setattr(solver_mod, "highs_solve", highs_solve)
 
 
 class TestNoBidFallback:
@@ -289,7 +289,7 @@ class TestNoBidFallback:
 
     def test_failed_no_bid_solve_names_both(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        monkeypatch.setattr(solver_mod, "highs_solve", no_incumbent_highs)
         data = load_week_data(WEEK_DATA_DIR)
         spec = RunSpec(config=RecConfig(), n_m=2, n_r=1, seed=0)
         failed = (

@@ -293,6 +293,17 @@ class TestParseLp:
         for vid, coef in inst.objective.items():
             assert parsed.objective[inst.names[vid]] == pytest.approx(coef, abs=0)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 7, 4096])
+    def test_rows_read_in_chunks_as_one_by_one(self, chunk, monkeypatch):
+        # Iteration reads _ROW_CHUNK rows at a time; empty rows and chunk
+        # edges must not shift a term into the wrong row.
+        rows = parse_lp(emit_exchange(edge_instance(empty_at=(0, 2, 4)))).rows
+        one_by_one = [rows[i] for i in range(len(rows))]
+        monkeypatch.setattr(solver_mod, "_ROW_CHUNK", chunk)
+        assert list(rows) == one_by_one
+        rows = parse_lp(emit_exchange(random_instance(3))).rows
+        assert list(rows) == [rows[i] for i in range(len(rows))]
+
     def test_rows_survive_exactly(self):
         inst = single_var_instance()
         parsed = parse_lp(emit_exchange(inst))
@@ -793,9 +804,9 @@ class TestPropagation:
         assert res.status == "infeasible"
 
 
-def no_incumbent_milp(*args, **kwargs):
-    """What scipy.optimize.milp returns when HiGHS stops at its time limit
-    before finding any feasible point. The dual bound is on the minimized
+def no_incumbent_highs(*args, **kwargs):
+    """What highs_solve returns when HiGHS stops at its time limit before
+    finding any feasible point. The dual bound is on the minimized
     (negated) objective."""
     return SimpleNamespace(
         status=1,
@@ -826,7 +837,7 @@ class TestExternalBackend:
             assert abs(ref.objective_value - ext.objective_value) <= 1e-6 * scale
 
     def test_time_limit_without_incumbent_named(self, tiny_instance, tmp_path, monkeypatch):
-        monkeypatch.setattr(scipy.optimize, "milp", no_incumbent_milp)
+        monkeypatch.setattr(solver_mod, "highs_solve", no_incumbent_highs)
         with pytest.raises(NoIncumbentError) as err:
             solve_external(tiny_instance, tmp_path, time_limit_s=2.0)
         assert str(err.value) == (
@@ -839,9 +850,9 @@ class TestExternalBackend:
     def test_time_limit_before_search_named(self, tiny_instance, monkeypatch):
         # A limit that falls before the branch-and-bound (in presolve or the
         # root LP) leaves HiGHS with neither figure.
-        res = SimpleNamespace(**vars(no_incumbent_milp()))
+        res = no_incumbent_highs()
         res.mip_dual_bound = res.mip_node_count = None
-        monkeypatch.setattr(scipy.optimize, "milp", lambda *a, **k: res)
+        monkeypatch.setattr(solver_mod, "highs_solve", lambda *a, **k: res)
         unknown = r"\(dual bound unknown, nodes unknown\)$"
         with pytest.raises(NoIncumbentError, match=unknown) as err:
             solve_external(tiny_instance, None, time_limit_s=2.0)
@@ -858,7 +869,7 @@ class TestExternalBackend:
         assert (sol.status, sol.objective_value, sol.values) == ("infeasible", None, None)
         assert (tmp_path / "solution.sol").read_text() == "status infeasible\n"
         monkeypatch.setattr(
-            scipy.optimize, "milp", lambda *a, **k: SimpleNamespace(status=4, x=None, message="odd")
+            solver_mod, "highs_solve", lambda *a, **k: SimpleNamespace(status=4, x=None, message="odd")
         )
         with pytest.raises(RuntimeError, match="^HiGHS finished with unmapped status 4: odd$"):
             solve_external(infeasible_instance(), None)
@@ -882,3 +893,167 @@ class TestExternalBackend:
             res = highs_runner.solve_parsed(parse_lp(emit_exchange(inst)), 300.0, 1e-6)
             assert own.status == "optimal" and res.status == 0, seed
             assert own.values.tobytes() == res.x.tobytes(), seed
+
+
+def scipy_milp(c, A, row_lo, row_hi, lb, ub, integrality, time_limit, gap):
+    """The ``scipy.optimize.milp`` call that ``highs_solve`` once was, as
+    the reference for its results."""
+    return scipy.optimize.milp(
+        c,
+        constraints=[scipy.optimize.LinearConstraint(A, row_lo, row_hi)] if A.shape[0] else [],
+        integrality=integrality,
+        bounds=scipy.optimize.Bounds(lb, ub),
+        options={"time_limit": time_limit, "mip_rel_gap": gap, "presolve": True},
+    )
+
+
+def light_base_day():
+    """Bundled day 0 of ``base`` at 2 price and 1 energy scenario, the
+    benchmark's light plan size."""
+    spec = RunSpec(config=RecConfig(), case="base", n_m=2, n_r=1, seed=0)
+    config, allow_bids, prices, energies, known = day_inputs(
+        spec, load_week_data(WEEK_DATA_DIR), 0
+    )
+    return build_instance(config, prices, energies, known, allow_bids=allow_bids)
+
+
+# (instance, gap): the acceptance family's desk-scale instances at the
+# default gap, and a light base day at the benchmark's gap.
+PARITY_CASES = {
+    **{f"random{seed}": (lambda seed=seed: random_instance(seed), 1e-6) for seed in [*range(6), 500]},
+    "light_base_day0": (light_base_day, 2e-2),
+}
+SWITCHES = ("mip_heuristic_run_feasibility_jump", "mip_heuristic_run_root_reduced_cost")
+
+
+class TestHighsBinding:
+    """``highs_solve`` drives scipy's private HiGHS binding. These tests
+    fail loudly when the binding moves, changes shape or refuses a
+    setting."""
+
+    def test_binding_has_what_highs_solve_calls(self):
+        from scipy.optimize._highspy import _core
+
+        for name in (
+            "setOptionValue",
+            "getOptionValue",
+            "passModel",
+            "run",
+            "getModelStatus",
+            "getInfo",
+            "getSolution",
+            "modelStatusToString",
+        ):
+            assert callable(getattr(_core._Highs, name, None)), name
+        lp, h = _core.HighsLp(), _core._Highs()
+        fields = {
+            lp: "num_col_ num_row_ col_cost_ col_lower_ col_upper_ row_lower_ row_upper_ "
+            "integrality_",
+            lp.a_matrix_: "num_col_ num_row_ format_ start_ index_ value_",
+            h.getInfo(): "objective_function_value mip_dual_bound mip_node_count mip_gap",
+            h.getSolution(): "col_value",
+            _core.MatrixFormat: "kColwise",
+            _core.HighsVarType: "kContinuous kInteger",
+            _core.HighsStatus: "kError",
+            _core.HighsModelStatus: "kOptimal kTimeLimit kIterationLimit kSolutionLimit "
+            "kInfeasible kUnbounded",
+        }
+        for owner, names in fields.items():
+            for name in names.split():
+                assert hasattr(owner, name), (owner, name)
+        assert _core.kHighsInf == np.inf
+
+    def test_every_setting_accepted(self):
+        from scipy.optimize._highspy import _core
+
+        h = _core._Highs()
+        options = {**solver_mod.HIGHS_OPTIONS, "time_limit": 1.5, "mip_rel_gap": 1e-4}
+        assert set(SWITCHES) <= set(options)
+        for name, value in options.items():
+            assert h.setOptionValue(name, value) == _core.HighsStatus.kOk, name
+            assert h.getOptionValue(name) == (_core.HighsStatus.kOk, value), name
+
+    def test_refused_setting_named(self, monkeypatch):
+        options = {**solver_mod.HIGHS_OPTIONS, "mip_heuristic_run_no_such_thing": False}
+        monkeypatch.setattr(solver_mod, "HIGHS_OPTIONS", options)
+        refused = "^HiGHS refused the setting mip_heuristic_run_no_such_thing = False$"
+        with pytest.raises(RuntimeError, match=refused):
+            solve_external(random_instance(0), None)
+
+    def test_nan_objective_refused(self, tiny_instance):
+        tiny_instance.objective[0] = np.nan
+        with pytest.raises(ValueError, match="^objective coefficients must be finite$"):
+            solve_external(tiny_instance, None)
+
+    @staticmethod
+    def stopped_run(monkeypatch, dual_bound, nodes):
+        """Make HiGHS's runs read as stopped by the time limit with no
+        incumbent, with this (minimized) dual bound and node count."""
+        from scipy.optimize._highspy import _core
+
+        class Stopped(_core._Highs):
+            def getModelStatus(self):
+                return _core.HighsModelStatus.kTimeLimit
+
+            def getInfo(self):
+                return SimpleNamespace(
+                    objective_function_value=_core.kHighsInf,
+                    mip_dual_bound=dual_bound,
+                    mip_node_count=nodes,
+                    mip_gap=_core.kHighsInf,
+                )
+
+        monkeypatch.setattr(_core, "_Highs", Stopped)
+
+    def test_root_dual_bound_reported(self, tiny_instance, monkeypatch):
+        # A limit inside the root: no incumbent, node count 0 and a bound.
+        self.stopped_run(monkeypatch, -95.208, 0)
+        res = solver_mod.highs_solve(*solver_mod._highs_arrays(tiny_instance), 20.0, 1e-3)
+        assert (res.status, res.x, res.fun) == (1, None, None)
+        assert (res.mip_dual_bound, res.mip_node_count, res.mip_gap) == (-95.208, 0, None)
+        with pytest.raises(NoIncumbentError) as err:
+            solve_external(tiny_instance, None, time_limit_s=20.0)
+        assert str(err.value) == (
+            "time limit of 20.0 s reached with no feasible solution (dual bound 95.208, nodes 0)"
+        )
+        assert (err.value.dual_bound, err.value.nodes) == (95.208, 0)
+
+    @pytest.mark.parametrize("bound", [-np.inf, np.inf])
+    def test_no_bound_yet_reported_as_unknown(self, tiny_instance, monkeypatch, bound):
+        self.stopped_run(monkeypatch, bound, -1)
+        with pytest.raises(NoIncumbentError, match=r"\(dual bound unknown, nodes unknown\)$") as err:
+            solve_external(tiny_instance, None, time_limit_s=2.0)
+        assert (err.value.dual_bound, err.value.nodes) == (None, None)
+
+    @pytest.mark.parametrize("inst", [single_var_instance, infeasible_instance])
+    def test_lp_results_match_scipy_milp(self, inst):
+        arrays = solver_mod._highs_arrays(inst())
+        own, ref = solver_mod.highs_solve(*arrays, 60.0, 1e-6), scipy_milp(*arrays, 60.0, 1e-6)
+        assert (own.status, own.fun, own.mip_gap, own.mip_node_count, own.mip_dual_bound) == (
+            ref.status, ref.fun, ref.mip_gap, ref.mip_node_count, ref.mip_dual_bound
+        )
+        assert (own.x is None) == (ref.x is None)
+        assert own.x is None or own.x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_matches_scipy_milp_bit_for_bit_at_highs_defaults(self, case, monkeypatch):
+        from scipy.optimize._highspy import _core
+
+        defaults = {name: _core._Highs().getOptionValue(name)[1] for name in SWITCHES}
+        monkeypatch.setattr(solver_mod, "HIGHS_OPTIONS", {**solver_mod.HIGHS_OPTIONS, **defaults})
+        make, gap = PARITY_CASES[case]
+        arrays = solver_mod._highs_arrays(make())
+        own, ref = solver_mod.highs_solve(*arrays, 60.0, gap), scipy_milp(*arrays, 60.0, gap)
+        assert (own.status, repr(own.fun), own.mip_gap, own.mip_node_count) == (
+            ref.status, repr(ref.fun), ref.mip_gap, ref.mip_node_count
+        )
+        assert own.x.tobytes() == ref.x.tobytes()
+
+    @pytest.mark.parametrize("case", PARITY_CASES)
+    def test_objective_within_gap_of_scipy_milp(self, case):
+        make, gap = PARITY_CASES[case]
+        arrays = solver_mod._highs_arrays(make())
+        own, ref = solver_mod.highs_solve(*arrays, 60.0, gap), scipy_milp(*arrays, 60.0, gap)
+        assert own.status == ref.status == 0
+        assert own.mip_gap <= gap
+        assert abs(own.fun - ref.fun) <= gap * abs(ref.fun)
